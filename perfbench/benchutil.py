@@ -5,12 +5,17 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from statistics import median
+from typing import Sequence
 
 #: Iterations of the calibration loop, and the loop's duration on a
 #: shared 2-vCPU x86-64 VM (Python 3.11) in its fast periods.
-CAL_LOOPS = 600_000
-CAL_REF_S = 0.05
+CAL_LOOPS = 30_000
+CAL_REF_S = 0.0025
+#: Host time between two calibration loops inside a timed piece.
+TRACK_INTERVAL_NS = 100_000_000
+#: Calibration loops run in each gap between timed pieces.
+GAP_LOOPS = 4
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -51,44 +56,62 @@ def pin(cpu: int) -> None:
     os.sched_setaffinity(0, {cpu})
 
 
-def calibration_s(cpu: int | None = None) -> float:
-    """Seconds a fixed pure-Python loop takes on ``cpu`` (default: here)."""
+def calibration_s(count: int, cpu: int | None = None) -> list[float]:
+    """Seconds the calibration loop takes, ``count`` times, on ``cpu``
+    (default: here)."""
     home = os.sched_getaffinity(0)
     if cpu is not None:
         pin(cpu)
     try:
-        start = time.perf_counter()
-        acc = 0
-        for i in range(CAL_LOOPS):
-            acc += i * i % 7
-        return time.perf_counter() - start
+        times = []
+        for _ in range(count):
+            start = time.perf_counter()
+            acc = 0
+            for i in range(CAL_LOOPS):
+                acc += i * i % 7
+            times.append(time.perf_counter() - start)
+        return times
     finally:
-        os.sched_setaffinity(0, home)
+        if cpu is not None:
+            os.sched_setaffinity(0, home)
 
 
-class Stopwatch:
+class SpeedTrack:
     """Scales host timings to a reference host speed.
 
     Each CPU of a shared VM changes speed by up to a half for ten
     seconds or more at a time, independently of the other CPUs, and a
-    timing moves with it.  Every call made through :meth:`bracket` runs
-    between two calibration loops on the CPU that does the timed work
-    (one loop shared with the neighbouring call); its factor is
-    ``CAL_REF_S`` over their mean, and a time multiplied by it is what
-    the call would take on a CPU that runs the loop in ``CAL_REF_S``.
+    timing moves with it.  A track runs a short calibration loop on the
+    CPU that does the timed work many times over a measured phase:
+    between its pieces (:meth:`sample`) or, inside one long piece, every
+    ``TRACK_INTERVAL_NS`` of host time (:meth:`poll`).  Its factor is
+    ``CAL_REF_S`` over the median loop, so that a loop the host
+    interrupted does not count; a time multiplied by it is what the
+    work would take on a CPU that runs the loop in ``CAL_REF_S``.
     """
 
     def __init__(self, cpu: int | None = None) -> None:
         self.cpu = cpu
-        self._last = calibration_s(cpu)
-        self.calibrations: list[float] = [self._last]
+        self.loops: list[float] = []
+        self.sample()
 
-    def bracket(self, fn: Callable[[], Any]) -> tuple[Any, float]:
-        """``fn()`` and the speed factor of the host around it."""
-        before = self._last
-        try:
-            result = fn()
-        finally:
-            self._last = calibration_s(self.cpu)
-            self.calibrations.append(self._last)
-        return result, 2 * CAL_REF_S / (before + self._last)
+    def sample(self, count: int = 1) -> None:
+        self.loops += calibration_s(count, self.cpu)
+        self.mark = time.perf_counter_ns()
+
+    def poll(self, now_ns: int) -> None:
+        if now_ns - self.mark >= TRACK_INTERVAL_NS:
+            self.sample()
+
+    @property
+    def factor(self) -> float:
+        return CAL_REF_S / median(self.loops)
+
+    def recent_factor(self, count: int) -> float:
+        """The factor of the last ``count`` loops only."""
+        return CAL_REF_S / median(self.loops[-count:])
+
+    @property
+    def loops_s(self) -> float:
+        """Seconds spent in the loops after the first one."""
+        return sum(self.loops[1:])

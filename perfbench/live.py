@@ -5,10 +5,14 @@ process drives it over the line-JSON protocol with two connections
 joined to one room, so every message is echoed to both.
 
 * ``sat`` — closed loop: each connection keeps ``WINDOW`` messages in
-  flight, sending one more for each of its own echoes.
+  flight, sending one more for each of its own echoes.  It gives the
+  throughput, the server CPU per message and the echo latency at
+  saturation (send to receipt by the sender).
 * ``paced`` — open loop: each connection sends on a Poisson schedule
   made from the seed, at ``PACED_RATE`` messages/s over both, and each
   message is timed from when it was due until every member has it.
+  Its latencies go to the run record only: on a shared VM they follow
+  the host's wake-up delays more than the server.
 
 The client checks every byte it receives: each frame must be the exact
 frame a member sent, each sender's frames must arrive once and in
@@ -32,14 +36,16 @@ from pathlib import Path
 from statistics import median
 from typing import Any, Optional
 
-from benchutil import Stopwatch, cpu_seconds, peak_rss_mb, percentile, pin
+from benchutil import GAP_LOOPS, SpeedTrack, cpu_seconds, peak_rss_mb, percentile, pin
 from tracing import Overhead, Tracer
 
 SERVE_ARGS = ["serve", "--scheduler", "elsc", "--spec", "UP",
               "--host", "127.0.0.1", "--port", "0"]
 SERVE_CMD = ["-m", "repro", *SERVE_ARGS]
-#: Messages each connection keeps in flight in ``sat``.
-WINDOW = 64
+#: Messages each connection keeps in flight in ``sat``: enough queued
+#: server work (tens of ms) that a stall of the generator's CPU does
+#: not leave the server idle.
+WINDOW = 256
 #: Pause between reads in ``sat``, so each read takes many frames and the
 #: generator stays much cheaper per message than the server.
 POLL_PAUSE_S = 0.0005
@@ -53,15 +59,16 @@ PACED_RATE = 5000.0
 #: ``host_s`` is the time to echo this many messages at saturation.
 HOST_BATCH = 1000
 #: Share of the measuring time given to ``sat`` (with its warm-up); the
-#: rest goes to ``paced``, whose tail latency needs more samples.
-SAT_SHARE = 0.25
+#: rest goes to ``paced``.
+SAT_SHARE = 0.6
 #: Length of one measured slice of ``sat``.
 SLICE_S = 1.0
-#: Consecutive slices of ``paced`` whose latency percentiles are
-#: combined by their median.
-PACED_SLICES = 4
-#: Server processes one run starts and measures, one after another.
-SERVERS = 3
+#: Slices of ``paced``, each with its own Poisson schedule, whose
+#: latency percentiles are combined by their median.
+PACED_SLICES = 10
+#: Server starts timed per run for ``setup_s``: the one driven through
+#: both phases, and the rest started and stopped at once before it.
+SETUP_SAMPLES = 15
 #: Unmeasured closed-loop time before ``sat`` is measured.
 WARMUP_S = 0.5
 #: Bytes of seeded padding carried by every message.
@@ -244,19 +251,34 @@ class ChatLoad:
         """Messages of sender ``s`` that have reached every member."""
         return min(self.expect[0][s], self.expect[1][s])
 
-    def closed_loop(self, seconds: float) -> int:
+    def closed_loop(self, seconds: float, echo_s: Optional[list[float]] = None) -> int:
         """Keep ``WINDOW`` messages in flight per member for ``seconds``;
-        return how many echoes reached their senders meanwhile."""
+        return how many echoes reached their senders meanwhile.  With
+        ``echo_s``, append to it each echo's time from its send to its
+        receipt by the sender (echoes still in flight at the end are
+        left out)."""
         before = self.echoed
+        base = list(self.sent)
+        stamps: list[list[float]] = [[], []]
+        timed = [0, 0]
         ready = [0, 1]
-        end = time.perf_counter() + seconds
-        while time.perf_counter() < end:
+        now = time.perf_counter()
+        end = now + seconds
+        while now < end:
             for i in ready:
                 missing = WINDOW - (self.sent[i] - self.expect[i][i])
                 if missing:
+                    stamps[i] += [now] * missing
                     self.send(i, missing)
             time.sleep(POLL_PAUSE_S)
             ready = self.poll(0.1)
+            now = time.perf_counter()
+            if echo_s is not None:
+                for i in ready:
+                    got = self.expect[i][i] - base[i]
+                    if got > timed[i]:
+                        echo_s += [now - t for t in stamps[i][timed[i]:got]]
+                        timed[i] = got
         return self.echoed - before
 
     def open_loop(self, seconds: float, seed: int) -> tuple[list[float], list[float]]:
@@ -342,9 +364,12 @@ def load_slice(load: ChatLoad, seconds: float) -> dict[str, float]:
     server_cpu0 = cpu_seconds(load.server.pid)
     own_cpu0 = time.process_time()
     wall0 = time.perf_counter()
-    echoed = load.closed_loop(seconds)
+    echo_s: list[float] = []
+    echoed = load.closed_loop(seconds, echo_s)
     sample = {
         "msgs": echoed,
+        "echo_p50_ms": percentile(echo_s, 50) * 1e3,
+        "echo_p99_ms": percentile(echo_s, 99) * 1e3,
         "wall_s": time.perf_counter() - wall0,
         "server_cpu_s": cpu_seconds(load.server.pid) - server_cpu0,
         "loadgen_cpu_s": time.process_time() - own_cpu0,
@@ -353,19 +378,49 @@ def load_slice(load: ChatLoad, seconds: float) -> dict[str, float]:
     return sample
 
 
-def saturate(load: ChatLoad, seconds: float, watch: Stopwatch) -> list[dict[str, float]]:
+def saturate(load: ChatLoad, seconds: float, track: SpeedTrack) -> list[dict[str, float]]:
     """The measured ``sat`` phase, in slices of about ``SLICE_S`` with
     the server's CPU calibrated between them."""
     slices = []
     count = max(1, round(seconds / SLICE_S))
     for _ in range(count):
-        sample, factor = watch.bracket(lambda: load_slice(load, seconds / count))
-        slices.append({**sample, "speed_factor": factor})
+        sample = load_slice(load, seconds / count)
+        track.sample(GAP_LOOPS)
+        slices.append({**sample, "speed_factor": track.recent_factor(2 * GAP_LOOPS)})
     return slices
 
 
+def pace(load: ChatLoad, seconds: float, seed: int,
+         track: SpeedTrack) -> tuple[list[dict[str, float]], list[float]]:
+    """The measured ``paced`` phase, in ``PACED_SLICES`` slices, each
+    followed by calibration loops on both CPUs once all its messages are
+    delivered; and how late the generator sent each message, in ms.
+
+    A slice's latency percentiles are scaled by the mean speed factor of
+    the two CPUs around it; the run record keeps the median over slices,
+    which a stall of the VM (tens of milliseconds, now and then) in one
+    slice does not move."""
+    own = SpeedTrack()
+    slices, late_ms = [], []
+    for k in range(PACED_SLICES):
+        latency, late = load.open_loop(seconds / PACED_SLICES, seed * PACED_SLICES + k)
+        track.sample(GAP_LOOPS)
+        own.sample(GAP_LOOPS)
+        ms = [x * 1e3 for x in latency]
+        slices.append({
+            "messages": len(ms),
+            "p50_ms": percentile(ms, 50),
+            "p99_ms": percentile(ms, 99),
+            "speed_factor": (track.recent_factor(2 * GAP_LOOPS)
+                             + own.recent_factor(2 * GAP_LOOPS)) / 2,
+        })
+        late_ms += [x * 1e3 for x in late]
+    return slices, late_ms
+
+
 def sat_summary(slices: list[dict[str, float]]) -> dict[str, float]:
-    """Totals of ``sat`` slices, and the calibrated medians over them."""
+    """Totals of ``sat`` slices, and the medians over them, each slice
+    scaled by the speed of the server's CPU just before and after it."""
     total = {k: sum(x[k] for x in slices)
              for k in ("msgs", "wall_s", "server_cpu_s", "loadgen_cpu_s")}
     return {
@@ -377,6 +432,8 @@ def sat_summary(slices: list[dict[str, float]]) -> dict[str, float]:
                           for x in slices]),
         "cpu_us_per_op": median([x["server_cpu_s"] / x["msgs"] * x["speed_factor"] * 1e6
                                  for x in slices]),
+        "echo_p50_ms": median([x["echo_p50_ms"] * x["speed_factor"] for x in slices]),
+        "echo_p99_ms": median([x["echo_p99_ms"] * x["speed_factor"] for x in slices]),
     }
 
 
@@ -391,12 +448,14 @@ def steadiness_errors(sat: dict[str, Any]) -> list[str]:
     return errors
 
 
-def session(root: Path, argv: list[str], watch: Stopwatch, seed: int,
+def session(root: Path, argv: list[str], track: SpeedTrack, seed: int,
             sat_s: float, paced_s: float) -> dict[str, Any]:
-    """Start a server, run both phases against it, check, and stop it."""
+    """Start a server on the track's CPU, run both phases against it,
+    check, and stop it.  ``setup_s`` is not scaled."""
     out: dict[str, Any] = {"errors": [], "sent": 0, "echoed": 0}
     try:
-        server, out["setup_s"] = start_server(root, argv, watch)
+        server = Server(root, argv, track.cpu)
+        out["setup_s"] = server.setup_s
     except (LoadError, OSError) as exc:
         out["errors"].append(f"server start: {type(exc).__name__}: {exc}")
         return out
@@ -405,12 +464,10 @@ def session(root: Path, argv: list[str], watch: Stopwatch, seed: int,
         load = ChatLoad(server, seed)
         load.closed_loop(WARMUP_S)
         load.drain()
-        out["sat_slices"] = saturate(load, sat_s, watch)
+        out["sat_slices"] = saturate(load, sat_s, track)
         out["sat"] = sat_summary(out["sat_slices"])
         out["errors"] += steadiness_errors(out["sat"])
-        latency, late = load.open_loop(paced_s, seed)
-        out["latency_ms"] = [x * 1e3 for x in latency]
-        out["late_ms"] = [x * 1e3 for x in late]
+        out["paced_slices"], out["late_ms"] = pace(load, paced_s, seed, track)
         out["counters"] = load.reconcile()
         out["peak_rss_mb"] = peak_rss_mb(server.pid)
     except (LoadError, OSError, ValueError) as exc:
@@ -423,21 +480,6 @@ def session(root: Path, argv: list[str], watch: Stopwatch, seed: int,
     return out
 
 
-def slice_percentiles(samples: list[float], q: float) -> list[float]:
-    """The ``q``-th percentile of each of ``PACED_SLICES`` consecutive
-    slices.  Their median is what the benchmark reports: a stall of the
-    VM (tens of milliseconds, now and then) moves one slice, not it."""
-    size = len(samples) // PACED_SLICES
-    return [percentile(samples[k * size:(k + 1) * size], q) for k in range(PACED_SLICES)]
-
-
-def start_server(root: Path, argv: list[str], watch: Stopwatch) -> tuple[Server, float]:
-    """A server on the stopwatch's CPU, and its set-up time in
-    reference-host seconds."""
-    server, factor = watch.bracket(lambda: Server(root, argv, watch.cpu))
-    return server, server.setup_s * factor
-
-
 def _report(result: dict[str, Any], metrics: dict[str, float],
             detail: dict[str, Any]) -> dict[str, Any]:
     sent = max(result["sent"], 1)
@@ -446,46 +488,55 @@ def _report(result: dict[str, Any], metrics: dict[str, float],
             "metrics": metrics, "detail": {**detail, "errors": result["errors"]}}
 
 
+def setup_only(root: Path, track: SpeedTrack) -> float:
+    """Start a server, stop it once it accepts; its set-up time, not
+    scaled."""
+    server = Server(root, SERVE_CMD, track.cpu)
+    server.first.close()
+    server.stop()
+    track.sample(GAP_LOOPS)
+    return server.setup_s
+
+
 def measure(seed: int, seconds: float, root: Path, cpu: int) -> dict[str, Any]:
     """Untraced run: the end-to-end metrics.  ``cpu`` is the server's.
 
-    The measuring time is shared by ``SERVERS`` server processes, one
-    after another, each driven through both phases: how fast one server
-    process serves varies a little from process to process, and the
-    medians are taken over the slices of all of them.
+    ``SETUP_SAMPLES - 1`` servers are started and stopped for their
+    set-up time alone; one more is driven through both phases for the
+    whole measuring time.
     """
-    watch = Stopwatch(cpu)
-    share = seconds / SERVERS
-    sat_s = max(SLICE_S, SAT_SHARE * share - WARMUP_S)
-    result: dict[str, Any] = {"errors": [], "sent": 0, "echoed": 0}
-    setups, sat_slices, p50s, p99s, late, rss, counters = [], [], [], [], [], [], []
-    for _ in range(SERVERS):
-        out = session(root, SERVE_CMD, watch, seed, sat_s, (1 - SAT_SHARE) * share)
-        for key in ("errors", "sent", "echoed"):
-            result[key] += out[key]
-        if out["errors"]:
-            break
-        setups.append(out["setup_s"])
-        sat_slices += out["sat_slices"]
-        p50s += slice_percentiles(out["latency_ms"], 50)
-        p99s += slice_percentiles(out["latency_ms"], 99)
-        late += out["late_ms"]
-        rss.append(out["peak_rss_mb"])
-        counters.append(out["counters"])
+    setup_track = SpeedTrack(cpu)
+    setups: list[float] = []
+    try:
+        setups = [setup_only(root, setup_track) for _ in range(SETUP_SAMPLES - 1)]
+    except (LoadError, OSError) as exc:
+        result: dict[str, Any] = {"errors": [f"server start: {type(exc).__name__}: {exc}"],
+                                  "sent": 0, "echoed": 0}
+    else:
+        result = session(root, SERVE_CMD, SpeedTrack(cpu), seed,
+                         max(SLICE_S, SAT_SHARE * seconds - WARMUP_S),
+                         (1 - SAT_SHARE) * seconds)
     metrics: dict[str, float] = {}
-    sat = sat_summary(sat_slices) if sat_slices else None
-    if sat is not None and not result["errors"]:
-        metrics.update(setup_s=median(setups), host_s=sat["host_s"],
-                       cpu_us_per_op=sat["cpu_us_per_op"],
-                       lat_p50_ms=median(p50s), lat_p99_ms=median(p99s),
-                       peak_rss_mb=median(rss))
+    p50s: list[float] = []
+    p99s: list[float] = []
+    if not result["errors"]:
+        setups.append(result["setup_s"])
+        p50s = [x["p50_ms"] * x["speed_factor"] for x in result["paced_slices"]]
+        p99s = [x["p99_ms"] * x["speed_factor"] for x in result["paced_slices"]]
+        sat = result["sat"]
+        metrics.update(setup_s=median(setups) * setup_track.factor,
+                       host_s=sat["host_s"], cpu_us_per_op=sat["cpu_us_per_op"],
+                       lat_p50_ms=sat["echo_p50_ms"], lat_p99_ms=sat["echo_p99_ms"],
+                       paced_p50_ms=median(p50s), paced_p99_ms=median(p99s),
+                       peak_rss_mb=result["peak_rss_mb"])
     detail = {
         "workload": "chat-live", "seed": seed, "setup_s": setups,
-        "sat": sat, "sat_slices": sat_slices, "paced_rate": PACED_RATE,
-        "lat_p50_slices_ms": p50s, "lat_p99_slices_ms": p99s,
-        "late_ms_p99": percentile(late, 99) if late else None,
-        "peak_rss_mb": rss, "counters": counters,
-        "calibration_s": watch.calibrations,
+        "sat": result.get("sat"), "sat_slices": result.get("sat_slices"),
+        "paced_rate": PACED_RATE,
+        "paced_slices": result.get("paced_slices"),
+        "late_ms_p99": percentile(result["late_ms"], 99) if "late_ms" in result else None,
+        "peak_rss_mb": result.get("peak_rss_mb"), "counters": result.get("counters"),
+        "setup_calibration_s": setup_track.loops,
     }
     return _report(result, metrics, detail)
 
@@ -494,11 +545,11 @@ def trace(seed: int, root: Path, cpu: int) -> dict[str, Any]:
     """Traced run: an untraced session for the baseline and the
     generator's cost, then a session against a traced server."""
     sat_s, paced_s = 4.0, 3.0
-    watch = Stopwatch(cpu)
-    plain = session(root, SERVE_CMD, watch, seed, sat_s, paced_s)
+    track = SpeedTrack(cpu)
+    plain = session(root, SERVE_CMD, track, seed, sat_s, paced_s)
     stem = root / ".perfbench" / "trace" / f"chat-live-seed{seed}"
     launcher = [str(Path(__file__).with_name("serve_traced.py")), str(stem), *SERVE_ARGS]
-    traced = session(root, launcher, watch, seed, sat_s, paced_s)
+    traced = session(root, launcher, track, seed, sat_s, paced_s)
     result = {"sent": plain["sent"] + traced["sent"],
               "echoed": plain["echoed"] + traced["echoed"],
               "errors": plain["errors"] + traced["errors"]}

@@ -1,7 +1,7 @@
 """Write ``pins.json``: the fingerprint and counts of each simulated
-workload for a range of seeds.
+workload for every seed in ``simwork.PINNED_SEEDS``.
 
-    python3 perfbench/pin.py [--seeds 0-20]
+    python3 perfbench/pin.py
 
 Run it from the root of a checkout, and only when a change is meant to
 alter what the simulator computes; the benchmark fails every pinned
@@ -10,7 +10,6 @@ seed whose result no longer matches.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -21,13 +20,10 @@ import simwork  # noqa: E402
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="0-20", help="inclusive range A-B")
-    low, high = map(int, parser.parse_args().seeds.split("-"))
     pins = {}
     for name, w in simwork.WORKLOADS.items():
         seeds = {}
-        for seed in range(low, high + 1):
+        for seed in simwork.PINNED_SEEDS:
             run = simwork.simulate(w, seed)
             seeds[str(seed)] = {"fingerprint": run.fingerprint(), "counts": run.counts()}
             print(f"{name} seed {seed}: {run.wall_s:.2f}s {run.counts()}", file=sys.stderr)

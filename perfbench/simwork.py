@@ -11,6 +11,7 @@ for every simulation of one input, the fingerprint pinned in
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -36,17 +37,19 @@ from repro.workloads import (
 )
 
 import layers
-from benchutil import Stopwatch, peak_rss_mb, percentile
+from benchutil import GAP_LOOPS, SpeedTrack, peak_rss_mb, percentile
 from tracing import Overhead, Tracer
 
 PINS_PATH = Path(__file__).with_name("pins.json")
 
-#: Fresh interpreters timed importing the simulator, per run.
-IMPORT_SAMPLES = 3
-#: Machines built and populated (not run) per run.
-POPULATE_SAMPLES = 3
-#: Distinct inputs the timed simulations of one run cycle through.
-INPUTS_PER_RUN = 8
+#: Set-ups timed per run: each imports the simulator in a fresh
+#: interpreter, then builds and populates a machine.
+SETUP_SAMPLES = 15
+#: Distinct inputs of one run; the timed simulations go through all of
+#: them in whole rounds.
+INPUTS_PER_RUN = 4
+#: Seeds whose fingerprints ``pins.json`` holds.
+PINNED_SEEDS = range(0, 41)
 
 IMPORT_SNIPPET = (
     "import time; t = time.perf_counter(); "
@@ -99,6 +102,14 @@ class Simulation:
     cpu_s: float
     result: Any
     probe: Optional[MetricsProbe]
+    track: Optional[SpeedTrack]
+    #: Host nanoseconds of each ``schedule()`` call, when tracked.
+    pick_ns: list[int]
+
+    @property
+    def pick_mean_ms(self) -> float:
+        """Mean host time of a ``schedule()`` call, scaled by the track."""
+        return sum(self.pick_ns) / len(self.pick_ns) * self.track.factor / 1e6
 
     @property
     def events(self) -> int:
@@ -134,11 +145,13 @@ class Simulation:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-def simulate(w: SimWorkload, seed: int, pick_ns: Optional[list[int]] = None) -> Simulation:
+def simulate(w: SimWorkload, seed: int, tracked: bool = False) -> Simulation:
     """One simulation of the workload's input for ``seed``.
 
-    With ``pick_ns``, the host nanoseconds of every ``schedule()`` call
-    are appended to it; this costs two clock reads per decision.
+    ``tracked`` times every ``schedule()`` call (two clock reads per
+    decision) and samples the host speed all through the simulation
+    with a :class:`SpeedTrack`, whose loops ``wall_s`` and ``cpu_s``
+    then leave out.
     """
     probe = MetricsProbe() if w.metered else None
     config = w.config(seed)
@@ -146,13 +159,17 @@ def simulate(w: SimWorkload, seed: int, pick_ns: Optional[list[int]] = None) -> 
     spec = MACHINE_SPECS[w.machine]
     sched_cls = type(factory())
     schedule = sched_cls.schedule
-    if pick_ns is not None:
+    track = SpeedTrack() if tracked else None
+    pick_ns: list[int] = []
+    if track is not None:
         now = time.perf_counter_ns
 
         def timed_schedule(self: Any, prev: Any, cpu: Any) -> Any:
             start = now()
             decision = schedule(self, prev, cpu)
-            pick_ns.append(now() - start)
+            end = now()
+            pick_ns.append(end - start)
+            track.poll(end)
             return decision
 
         sched_cls.schedule = timed_schedule
@@ -163,13 +180,17 @@ def simulate(w: SimWorkload, seed: int, pick_ns: Optional[list[int]] = None) -> 
         wall = time.perf_counter() - wall0
     finally:
         sched_cls.schedule = schedule
-    return Simulation(seed, wall, cpu, result, probe)
+    if track is not None:
+        wall, cpu = wall - track.loops_s, cpu - track.loops_s
+    return Simulation(seed, wall, cpu, result, probe, track, pick_ns)
 
 
 def load_pins(w: SimWorkload) -> dict[str, Any]:
     pins = json.loads(PINS_PATH.read_text())[w.name]
     if pins["config"] != config_doc(w):
         raise SystemExit(f"{PINS_PATH.name}: {w.name} config differs from the workload")
+    if sorted(map(int, pins["seeds"])) != list(PINNED_SEEDS):
+        raise SystemExit(f"{PINS_PATH.name}: {w.name} seeds differ from PINNED_SEEDS")
     return pins
 
 
@@ -209,6 +230,15 @@ def populate_seconds(w: SimWorkload, seed: int) -> float:
     return time.perf_counter() - start
 
 
+def setup_seconds(w: SimWorkload, seed: int, root: Path) -> tuple[float, float]:
+    """Seconds of one set-up: the import, then the populate.  The
+    populate starts on a collected heap, so that no sample pays for a
+    garbage collection of earlier samples' machines."""
+    imported = import_seconds(root)
+    gc.collect()
+    return imported, populate_seconds(w, seed)
+
+
 # -- the runs ----------------------------------------------------------------
 
 
@@ -232,10 +262,10 @@ class Checker:
         return len(self.errors)
 
     def attempt(self, w: SimWorkload, seed: int,
-                pick_ns: Optional[list[int]] = None) -> Optional[Simulation]:
+                tracked: bool = False) -> Optional[Simulation]:
         self.attempted += 1
         try:
-            run = simulate(w, seed, pick_ns)
+            run = simulate(w, seed, tracked)
         except Exception as exc:  # noqa: BLE001 — a failed operation, not a crash
             self.errors.append(f"seed {seed}: {type(exc).__name__}: {exc}")
             return None
@@ -271,47 +301,48 @@ def verify(w: SimWorkload, seed: int, checker: Checker,
 def measure(name: str, seed: int, seconds: float, root: Path) -> dict[str, Any]:
     """Untraced run: the end-to-end metrics.
 
-    Timed simulations cycle through the inputs of seeds ``seed`` to
-    ``seed + INPUTS_PER_RUN - 1``, so one run's median does not rest on
-    the scheduling luck of a single input.
+    Timed simulations go in whole rounds through the inputs of seeds
+    ``seed`` to ``seed + INPUTS_PER_RUN - 1``, so every input weighs the
+    same in the median however many rounds fit in ``seconds``, and one
+    run's median does not rest on the scheduling luck of a single input.
     """
     w = WORKLOADS[name]
     checker = Checker(w)
-    watch = Stopwatch()
-    imports = [scaled(watch, lambda: import_seconds(root)) for _ in range(IMPORT_SAMPLES)]
-    populates = [scaled(watch, lambda: populate_seconds(w, seed))
-                 for _ in range(POPULATE_SAMPLES)]
+    setup_track = SpeedTrack()
+    setups = []
+    for _ in range(SETUP_SAMPLES):
+        setups.append(setup_seconds(w, seed, root))
+        setup_track.sample(GAP_LOOPS)
 
     # One warm-up simulation lets lazy imports and allocator growth
-    # finish; then whole simulations run until the next one would
-    # overrun the measuring time.
+    # finish; then whole rounds run until the next one would overrun
+    # the measuring time (at least one round runs).
     checker.attempt(w, seed)
     rss = peak_rss_mb()
-    timed: list[tuple[Simulation, float]] = []
-    pick_ms: list[float] = []
+    timed: list[Simulation] = []
     start = time.perf_counter()
-    while True:
-        pick_ns: list[int] = []
-        run, factor = watch.bracket(
-            lambda: checker.attempt(w, seed + len(timed) % INPUTS_PER_RUN, pick_ns))
-        if run is None:
+    rounds = 0
+    while checker.failed == 0:
+        for k in range(INPUTS_PER_RUN):
+            run = checker.attempt(w, seed + k, tracked=True)
+            if run is None:
+                break
+            timed.append(run)
+        rounds += 1
+        if (time.perf_counter() - start) * (rounds + 1) / rounds > seconds:
             break
-        timed.append((run, factor))
-        pick_ms.extend(ns * factor / 1e6 for ns in pick_ns)
-        elapsed = time.perf_counter() - start
-        if elapsed * (len(timed) + 1) / len(timed) > seconds:
-            break
-    verify(w, seed, checker, timed[0][0] if timed else None)
+    verify(w, seed, checker, timed[0] if timed else None)
 
     metrics: dict[str, float] = {
-        "setup_s": median(imports) + median(populates),
+        "setup_s": median([imp + pop for imp, pop in setups]) * setup_track.factor,
         "peak_rss_mb": rss,
     }
+    pick_ms = [ns * r.track.factor / 1e6 for r in timed for ns in r.pick_ns]
     if timed:
-        metrics["host_s"] = median([r.wall_s * f for r, f in timed])
-        metrics["cpu_us_per_op"] = median([r.cpu_s * f / r.events * 1e6 for r, f in timed])
-    if pick_ms:
-        metrics["lat_p50_ms"] = percentile(pick_ms, 50)
+        metrics["host_s"] = median([r.wall_s * r.track.factor for r in timed])
+        metrics["cpu_us_per_op"] = median([r.cpu_s * r.track.factor / r.events * 1e6
+                                           for r in timed])
+        metrics["lat_p50_ms"] = median([r.pick_mean_ms for r in timed])
         metrics["lat_p99_ms"] = percentile(pick_ms, 99)
     detail = {
         "workload": name,
@@ -320,48 +351,46 @@ def measure(name: str, seed: int, seconds: float, root: Path) -> dict[str, Any]:
         "pinned": sorted(set(checker.fingerprints) & set(checker.pins)),
         "errors": checker.errors,
         "samples": {
-            "input_seed": [r.seed for r, _ in timed],
-            "wall_s": [r.wall_s for r, _ in timed],
-            "cpu_s": [r.cpu_s for r, _ in timed],
-            "speed_factor": [f for _, f in timed],
-            "import_s": imports,
-            "populate_s": populates,
-            "calibration_s": watch.calibrations,
+            "input_seed": [r.seed for r in timed],
+            "wall_s": [r.wall_s for r in timed],
+            "cpu_s": [r.cpu_s for r in timed],
+            "speed_factor": [r.track.factor for r in timed],
+            "track_loops_s": [r.track.loops for r in timed],
+            "rounds": rounds,
+            "import_s": [imp for imp, _ in setups],
+            "populate_s": [pop for _, pop in setups],
+            "setup_calibration_s": setup_track.loops,
             "picks_timed": len(pick_ms),
+            "pick_mean_ms": [r.pick_mean_ms for r in timed],
         },
-        "counts": {r.seed: r.counts() for r, _ in timed},
+        "counts": {r.seed: r.counts() for r in timed},
     }
     return {"attempted": checker.attempted, "failed": checker.failed,
             "metrics": metrics, "detail": detail}
-
-
-def scaled(watch: Stopwatch, fn: Callable[[], float]) -> float:
-    """A duration ``fn`` measures itself, in reference-host seconds."""
-    value, factor = watch.bracket(fn)
-    return value * factor
 
 
 def trace(name: str, seed: int, root: Path) -> dict[str, Any]:
     """Traced run: the per-layer metrics and the tracing overhead."""
     w = WORKLOADS[name]
     checker = Checker(w)
-    watch = Stopwatch()
     checker.attempt(w, seed)  # warm-up
-    baseline, base_factor = watch.bracket(lambda: checker.attempt(w, seed))
+    track = SpeedTrack()
+    baseline = checker.attempt(w, seed)
+    track.sample(GAP_LOOPS)
     overhead = Overhead.measure()
     tracer = Tracer()
     layers.install_simulator(tracer, type(SCHEDULERS[w.scheduler]()))
     try:
-        traced, factor = watch.bracket(lambda: checker.attempt(w, seed))
+        traced = checker.attempt(w, seed)
     finally:
         tracer.restore()
+    track.sample(GAP_LOOPS)
     totals = tracer.totals()
     tracer.write(root / ".perfbench" / "trace" / f"{name}-seed{seed}",
                  {"totals": totals, "overhead": overhead.to_dict()})
     metrics: dict[str, float] = {}
     if baseline is not None and traced is not None:
-        metrics = layer_metrics(totals, overhead, traced, factor,
-                                baseline.wall_s * base_factor)
+        metrics = layer_metrics(totals, overhead, traced, track.factor, baseline.wall_s)
     detail = {"workload": name, "seed": seed, "errors": checker.errors,
               "totals": totals, "overhead": overhead.to_dict()}
     return {"attempted": checker.attempted, "failed": checker.failed,
@@ -403,5 +432,5 @@ def layer_metrics(totals: dict[str, dict[str, int]], overhead: Overhead,
         "model.seconds": traced.result.elapsed_seconds,
         "model.sched_pct": 100.0 * traced.result.scheduler_fraction,
         "trace.host_s": traced.wall_s * factor,
-        "trace.overhead_pct": 100.0 * (traced.wall_s * factor / baseline_s - 1.0),
+        "trace.overhead_pct": 100.0 * (traced.wall_s / baseline_s - 1.0),
     }
