@@ -2,7 +2,7 @@
 
 The repo's simulated results are deterministic, but *how fast the
 simulator produces them* is a first-class deliverable of its own: the
-hot-path work (array-backed run queues, cached goodness weights, probe
+hot-path work (the goodness index, the ELSC array table, probe
 batching) only stays honest if every PR can re-measure the same pinned
 cell matrix and diff itself against the committed trajectory file.
 

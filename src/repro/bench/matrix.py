@@ -70,7 +70,7 @@ DETERMINISTIC_WORKLOADS = frozenset({"volano", "kernbench"})
 
 #: The scan-heavy volano cell used by the before/after pairs: 600 chat
 #: users keep the run queue long, so scheduler pick cost dominates the
-#: wall clock — the configuration where the array-backed runqueue work
+#: wall clock — the configuration where the run-queue hot-path work
 #: is measurable above container timing noise (see docs/performance.md).
 PAIR_VOLANO_CONFIG: dict[str, Any] = {
     "rooms": 20, "users_per_room": 30, "messages_per_user": 3,
@@ -125,7 +125,7 @@ class BenchPair:
     only as the measured baseline and behavioural cross-check.
     """
 
-    dimension: str  # "runqueue" | "elsc-table" | "probe-batch" | "smp-weights"
+    dimension: str  # "runqueue" | "elsc-table" | "probe-batch"
     workload: str
     scheduler: str
     machine: str
@@ -194,9 +194,9 @@ def pair_cells(smoke: bool = False) -> list[BenchPair]:
     if smoke:
         return [BenchPair("runqueue", "volano", "reg", "UP", scan_heavy)]
     return [
-        # sched/vanilla.py: contiguous array + cached rq_weight vs the
-        # historical linked-list walk.  The UP cell is the acceptance
-        # pair: the affinity bonus folds into the cached weight there.
+        # sched/vanilla.py: the goodness index (a few class heads per
+        # pick) vs the historical linked-list walk.  The UP cell is the
+        # acceptance pair.
         BenchPair("runqueue", "volano", "reg", "UP", scan_heavy),
         BenchPair("runqueue", "volano", "reg", "4P", scan_heavy),
         # core/table.py: ELSCRunqueueTable (array lists + bitmaps) vs
@@ -207,11 +207,6 @@ def pair_cells(smoke: bool = False) -> list[BenchPair]:
         BenchPair(
             "probe-batch", "volano", "reg", "UP", _cfg(BATCH_VOLANO_CONFIG)
         ),
-        # sched/vanilla.py: per-CPU pre-folded weight arrays vs the
-        # per-element ``processor`` re-test on the SMP goodness scan
-        # (``smp_fold=False`` keeps the dynamic re-test alive as the
-        # before side).
-        BenchPair("smp-weights", "volano", "reg", "4P", scan_heavy),
     ]
 
 

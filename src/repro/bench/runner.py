@@ -199,7 +199,7 @@ def _pair_sides(
             lambda: VanillaScheduler(),
             False,
             "linked-list walk (impl=list)",
-            "array + cached rq_weight (impl=array)",
+            "goodness index over class heads (impl=index)",
         )
     if pair.dimension == "elsc-table":
         from ..core.elsc import ELSCScheduler
@@ -219,16 +219,6 @@ def _pair_sides(
             True,
             "per-event emission (batch_size=1)",
             "batched emission (default batch)",
-        )
-    if pair.dimension == "smp-weights":
-        from ..sched.vanilla import VanillaScheduler
-
-        return (
-            lambda: VanillaScheduler(smp_fold=False),
-            lambda: VanillaScheduler(),
-            False,
-            "per-element processor re-test (smp_fold=False)",
-            "per-CPU pre-folded weight arrays (smp_fold=True)",
         )
     raise ValueError(f"unknown pair dimension {pair.dimension!r}")
 

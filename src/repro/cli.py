@@ -303,6 +303,8 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     cell = _runner_from_args(args, progress=progress).run_one(spec)
     stats = cell.sched_stats()
     m = cell.metrics
+    # Cells cached before causes were recorded lack the key.
+    restart_causes = m.get("restart_causes", [])
     print(
         format_kv(
             f"Live loadtest — {sched_name}/{args.spec}, "
@@ -318,6 +320,8 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
                 ("shed w/ retry-after", m["shed_retry_after"]),
                 ("expired (deadline)", m["expired"]),
                 ("executor restarts", m["executor_restarts"]),
+                ("restart causes",
+                 ", ".join(c["type"] for c in restart_causes) or "-"),
                 ("dropped (outbox)", m["dropped_fanout"]),
                 ("throughput (msg/s)", f"{m['throughput']:.0f}"),
                 ("latency p50 (ms)", f"{m['latency_ms_p50']:.2f}"),
@@ -365,6 +369,17 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             _json.dump(payload, handle, indent=1, sort_keys=True)
             handle.write("\n")
         print(f"(metrics written to {args.json})", file=sys.stderr)
+    if m["executor_restarts"] and not args.fault_plan:
+        # Degrade-don't-die must not hide a bug: with no fault injected,
+        # any restart is a failure.
+        for cause in restart_causes:
+            print(cause["traceback"], file=sys.stderr)
+        print(
+            f"error: {m['executor_restarts']} executor restart(s) "
+            "with no fault plan",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

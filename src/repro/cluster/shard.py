@@ -36,6 +36,7 @@ from typing import Any, Optional
 
 from ..kernel.task import Task
 from ..serve import protocol
+from ..serve.executor import record_restart
 from ..serve.protocol import ProtocolError
 from . import wire
 from .config import ClusterConfig, room_slot, session_slot
@@ -106,6 +107,7 @@ class ShardCore:
         self.fwd_misses = 0
         self.shed = 0
         self.executor_restarts = 0
+        self.restart_causes: list[dict[str, str]] = []
         self.repl_entries_out = 0
         self.repl_entries_in = 0
         self.promotions = 0
@@ -490,8 +492,9 @@ class ShardCore:
                 self._serve(task)
             except asyncio.CancelledError:
                 raise
-            except Exception:  # noqa: BLE001 — supervised: degrade, don't die
+            except Exception as exc:  # noqa: BLE001 — supervised: degrade, don't die
                 self.executor_restarts += 1
+                record_restart(self.restart_causes, exc)
                 executor.rebuild()
                 await asyncio.sleep(0)
                 continue
@@ -561,6 +564,7 @@ class ShardCore:
             "fwd_misses": self.fwd_misses,
             "shed": self.shed,
             "executor_restarts": self.executor_restarts,
+            "restart_causes": list(self.restart_causes),
             "repl_entries_out": self.repl_entries_out,
             "repl_entries_in": self.repl_entries_in,
             "promotions": self.promotions,

@@ -142,10 +142,10 @@ class Task:
         # scheduler; start unlinked.
         self.run_list.next = None
         self.run_list.prev = None
-        #: Scheduler scratch: the vanilla array runqueue caches the
-        #: task's goodness weight here (see sched/vanilla.py for the
-        #: encoding and the refresh discipline).  Like ``run_list``,
-        #: this is policy-owned state living on the task struct.
+        #: Scheduler scratch: the vanilla goodness index keeps the
+        #: task's sort key here (see sched/vanilla.py for the encoding
+        #: and the refresh discipline).  Like ``run_list``, this is
+        #: policy-owned state living on the task struct.
         self.rq_weight = 0
         self.has_cpu = False
         self.processor = -1  # never ran anywhere yet

@@ -23,69 +23,68 @@ per examined task, plus the whole-system recalculation loops.  This is
 the O(n)-per-entry, redundant-recalculation design the ELSC scheduler
 replaces.
 
-Two queue layouts implement the same semantics (``impl=`` selects one;
-``tests/bench/test_runqueue_identity.py`` pins them bit-identical):
+Two run-queue implementations compute the same schedule (``impl=``
+selects one; ``tests/bench/test_runqueue_identity.py`` and
+``tests/sched/test_vanilla_oracle.py`` pin them bit-identical):
 
-``array`` (default)
-    a contiguous Python list of task references with the queue *front
-    at the end*, so the front-insert wakeup path is an O(1) C-level
-    ``append`` and the scan is a C-level ``reversed()`` iteration over
-    an object array — no pointer chasing through per-task
-    ``ListHead`` nodes.  (A mirrored int-array/freelist layout was
-    measured *slower* under CPython — see docs/performance.md — because
-    index indirection re-introduces a Python-level load per element;
-    the contiguous object array is what actually wins.)  The
-    ``run_list`` sentinel pointers are still maintained so the kernel's
-    ``on_runqueue()``/``in_a_list()`` conventions hold unchanged.
+``index`` (default)
+    an exact goodness index — the paper's own idea applied to the
+    simulator's host code.  The *modelled* kernel still pays its full
+    scan: ``examined`` is the number of tasks the scan would have
+    evaluated (``prev`` when eligible, plus every queued task not
+    running on a CPU), so the cycle charge, every ``SchedStats``
+    counter and every fingerprint are those of the walk.  Only the
+    host work shrinks.
 
-    The array scan additionally reads a **cached goodness weight**
-    (``task.rq_weight``) instead of recomputing
-    ``counter + priority + bonuses`` from five task fields per element.
-    The cache is sound because a *queued, non-running* task's
-    scheduling parameters cannot change: ticks only decrement the
-    counter of a task that is some CPU's ``current`` (skipped by the
-    scan via ``has_cpu``, refreshed when it next appears as ``prev``),
-    recalculation rewrites every counter (refreshed in the
+    Goodness is a *static* weight plus bonuses that depend only on the
+    task's ``(processor, mm)`` pair.  Each queued task is filed in the
+    *class* of its pair, sorted by a sort key kept in
+    ``task.rq_weight``::
+
+        rq_weight = order - (weight << _SHIFT)
+
+        weight    counter + priority   SCHED_OTHER with quantum left
+                  0                    quantum exhausted
+                  1000 + rt_priority   real-time task
+        order     queue position: it decreases on every front insert
+                  and move_first_runqueue, increases on every
+                  move_last_runqueue
+
+    so a class lists its tasks by weight, highest first, then front of
+    queue first.  Every member of a class earns the same bonuses, and
+    they never reorder it (a real-time weight beats any bonused one, and
+    a zero weight earns none), so ``schedule()`` reads only the first
+    non-running task of each class — running tasks, at most one per
+    CPU, are skipped in place — adds the +15 affinity and +1 mm bonus of
+    the class, and keeps the smallest resulting key: the highest
+    goodness, front of queue on a tie.  ``run_list.next`` marks a task
+    queued, as for every design; ``run_list.prev`` is its class.
+
+    The index is sound because a *queued, non-running* task's counter,
+    processor and mm cannot change: ticks only decrement the counter of
+    a task that is some CPU's ``current`` (skipped in place until it
+    reappears as ``prev``, which is re-filed when ``schedule()`` is
+    entered), a pick moves only the picked task's ``processor``,
+    recalculation rewrites every counter (every class is rebuilt in the
     :meth:`recalculate_counters` override), and the parameter syscalls
-    requeue through ``del``/``add`` (refreshed on insert).  Encoding::
-
-        0                      counter == 0 (quantum exhausted)
-        > 0                    counter + priority [+ 15 on a 1-CPU
-                               machine when processor == 0]
-        -(1000 + rt_priority)  real-time task (negated so the zero /
-                               positive tests above stay single-branch)
-
-    On a single-CPU machine the querying CPU is always 0, so the
-    processor-affinity bonus folds into the cache and the hot loop is
-    three attribute loads per element (``has_cpu``, ``rq_weight``,
-    ``mm``).
-
-    On SMP the same fold applies **per CPU** (``smp_fold=True``, the
-    default): the queue keeps one parallel weight array per CPU, with
-    the +15 affinity bonus pre-added in the row of the task's
-    ``processor``, so the scan for CPU ``c`` reads ``zip(reversed(q),
-    reversed(w[c]))`` and the per-element ``task.processor == this_cpu``
-    re-test disappears from the hot loop (the ROADMAP hot-path
-    follow-on; the ``smp-weights`` BenchPair pins the win and
-    ``smp_fold=False`` keeps the dynamic re-test alive as its
-    before-side).  Soundness is the same argument as ``rq_weight``:
-    a queued, non-running task's ``processor`` (and counter) cannot
-    change — it moves only when the task is dispatched, at which point
-    ``has_cpu`` hides it from every scan until it reappears as
-    ``prev``, whose row is refreshed at schedule() entry.
+    and the fault injector's CPU-offline path requeue through
+    ``del``/``add``.
 
 ``list``
     the historical circular doubly-linked ``ListHead`` walk computing
-    goodness from the live task fields each scan, kept as the
-    before-side of the BENCH before/after pair and as a behavioural
-    cross-check.
+    goodness from the live task fields on every scan: the paper-faithful
+    reference, the before-side of the BENCH before/after pair, and the
+    differential oracle of the index.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from ..kernel.listops import ListHead
+from ..kernel.params import MM_BONUS, PROC_CHANGE_PENALTY, RT_GOODNESS_BASE
 from ..kernel.task import SchedPolicy, Task
 from .base import SchedDecision, Scheduler
 from .goodness import goodness
@@ -93,6 +92,7 @@ from .registry import register_scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.cpu import CPU
+    from ..kernel.mm import MMStruct
 
 __all__ = ["VanillaScheduler"]
 
@@ -101,6 +101,27 @@ __all__ = ["VanillaScheduler"]
 #: some counter); this exists to turn a simulator bug into a loud error
 #: instead of a hang.
 _MAX_REPEATS = 64
+
+#: A sort key holds the weight above bit ``_SHIFT`` and the queue order
+#: below it; orders start mid-range and move one step per queue
+#: operation, far from either end in any simulation.
+_SHIFT = 40
+_ORDER_MASK = (1 << _SHIFT) - 1
+_ORDER_ORIGIN = 1 << (_SHIFT - 1)
+#: Keys of weights 1 .. RT_GOODNESS_BASE - 1, the only ones that earn
+#: bonuses, lie in [_BONUS_FLOOR, 0).
+_BONUS_FLOOR = -(RT_GOODNESS_BASE - 1) << _SHIFT
+_AFFINITY_KEY = PROC_CHANGE_PENALTY << _SHIFT
+_SAME_MM_KEY = MM_BONUS << _SHIFT
+_SORT_KEY = attrgetter("rq_weight")
+#: Stands in for a deciding context without an mm: no class matches it.
+_NO_MM = object()
+
+
+class _Class(list):
+    """The queued tasks of one ``(processor, mm)`` pair, by sort key."""
+
+    __slots__ = ("cpu", "mm")
 
 
 @register_scheduler(
@@ -113,72 +134,99 @@ class VanillaScheduler(Scheduler):
 
     name = "reg"
 
-    def __init__(self, impl: str = "array", smp_fold: bool = True) -> None:
+    def __init__(self, impl: str = "index") -> None:
         super().__init__()
-        if impl not in ("array", "list"):
-            raise ValueError(f"impl must be array|list, got {impl!r}")
+        if impl not in ("index", "list"):
+            raise ValueError(f"impl must be index|list, got {impl!r}")
         self.impl = impl
-        self._array = impl == "array"
-        #: Whether the SMP scan uses per-CPU pre-folded weight arrays
-        #: (False keeps the per-element processor re-test as the bench
-        #: baseline).
-        self.smp_fold = smp_fold
-        #: array impl: queue front at the END (append == front insert).
-        self._q: list[Task] = []
+        self._index = impl == "index"
+        #: index impl: the classes, keyed by ``(processor, mm)``.
+        self._classes: dict[tuple, _Class] = {}
+        #: index impl: the orders of the queue's front and back ends.
+        self._front = self._back = _ORDER_ORIGIN
         #: list impl: circular doubly-linked queue head.
         self._head = ListHead()
         self._len = 0
-        #: True once bound to a 1-CPU machine: the +15 affinity bonus is
-        #: then folded into ``rq_weight`` (the querying CPU is always 0).
-        self._fold_proc = False
-        #: True once bound to an SMP machine with ``smp_fold``: the
-        #: bonus is folded per CPU into the :attr:`_w` rows instead.
-        self._smp_fold = False
-        #: smp_fold: one weight array per CPU, parallel to ``_q``.
-        self._w: list[list[int]] = []
 
     def reset(self) -> None:
         super().reset()
-        self._q = []
+        self._classes = {}
+        self._front = self._back = _ORDER_ORIGIN
         self._head = ListHead()
         self._len = 0
-        machine = self.machine
-        ncpus = 1 if machine is None else len(machine.cpus)
-        self._fold_proc = machine is not None and ncpus == 1
-        self._smp_fold = self._array and self.smp_fold and ncpus > 1
-        self._w = [[] for _ in range(ncpus)] if self._smp_fold else []
 
-    def _refresh_weight(self, task: Task) -> None:
-        """Recompute ``task.rq_weight`` from its live scheduling fields."""
+    # -- the index -------------------------------------------------------------
+
+    def _file(self, task: Task, order: int) -> None:
+        """Insert ``task`` into its class at queue position ``order``,
+        weighed from its live scheduling fields."""
         if task.policy is SchedPolicy.SCHED_OTHER:
             counter = task.counter
-            if counter:
-                weight = counter + task.priority
-                if self._fold_proc and task.processor == 0:
-                    weight += 15
-                task.rq_weight = weight
-            else:
-                task.rq_weight = 0
+            weight = counter + task.priority if counter else 0
         else:
-            task.rq_weight = -1000 - task.rt_priority
+            weight = RT_GOODNESS_BASE + task.rt_priority
+        key = order - (weight << _SHIFT)
+        task.rq_weight = key
+        pair = (task.processor, task.mm)
+        cls = self._classes.get(pair)
+        if cls is None:
+            cls = self._classes[pair] = _Class()
+            cls.cpu, cls.mm = pair
+        cls.insert(bisect_left(cls, key, key=_SORT_KEY), task)
+        task.run_list.prev = cls
 
-    def _refresh_row(self, task: Task, i: int) -> None:
-        """smp_fold: recompute ``task``'s per-CPU folded weights at
-        queue index ``i`` (affinity bonus pre-added in its CPU's row)."""
-        if task.policy is SchedPolicy.SCHED_OTHER:
-            counter = task.counter
-            if counter:
-                base = counter + task.priority
-                proc = task.processor
-                for c, wc in enumerate(self._w):
-                    wc[i] = base + 15 if c == proc else base
-            else:
-                for wc in self._w:
-                    wc[i] = 0
-        else:
-            weight = -1000 - task.rt_priority
-            for wc in self._w:
-                wc[i] = weight
+    def _unfile(self, task: Task) -> None:
+        cls = task.run_list.prev
+        del cls[bisect_left(cls, task.rq_weight, key=_SORT_KEY)]
+        if not cls:
+            del self._classes[cls.cpu, cls.mm]
+
+    def _refile(self, task: Task, order: int) -> None:
+        self._unfile(task)
+        self._file(task, order)
+
+    def _best_head(
+        self, this_cpu: int, this_mm: Optional["MMStruct"]
+    ) -> tuple[Optional[Task], int]:
+        """The queued task the walk would pick, and its goodness.
+
+        Reads the first non-running task of each class; ``(None,
+        -1000)`` when every queued task is running.
+        """
+        if this_mm is None:
+            this_mm = _NO_MM
+        best = None
+        best_key = _ORDER_MASK + 1
+        for cls in self._classes.values():
+            task = cls[0]
+            if task.has_cpu:
+                for task in cls:
+                    if not task.has_cpu:
+                        break
+                else:
+                    continue
+            key = task.rq_weight
+            if _BONUS_FLOOR <= key < 0:
+                if cls.cpu == this_cpu:
+                    key -= _AFFINITY_KEY
+                if cls.mm is this_mm:
+                    key -= _SAME_MM_KEY
+            if key < best_key:
+                best_key = key
+                best = task
+        if best is None:
+            return None, -1000
+        return best, -(best_key >> _SHIFT)
+
+    def _queued_running(self, prev: Task) -> int:
+        """How many queued tasks are running: each is some CPU's
+        current, or ``prev``."""
+        running = int(prev.has_cpu and prev.on_runqueue())
+        for cpu in self.machine.cpus:
+            task = cpu.current
+            if task is not prev and task.has_cpu and task.on_runqueue():
+                running += 1
+        return running
 
     # -- run-queue manipulation (paper section 3.2) ---------------------------
 
@@ -186,18 +234,10 @@ class VanillaScheduler(Scheduler):
         """Insert at the *front* of the queue (newly woken tasks lead)."""
         if task.on_runqueue():
             raise RuntimeError(f"{task.name} is already on the run queue")
-        if self._array:
-            self._refresh_weight(task)
-            self._q.append(task)
-            if self._smp_fold:
-                for wc in self._w:
-                    wc.append(0)
-                self._refresh_row(task, len(self._q) - 1)
-            # Self-loop sentinel: "on the run queue, in a list" for the
-            # kernel's pointer conventions, without a linked structure.
-            node = task.run_list
-            node.next = node
-            node.prev = node
+        if self._index:
+            self._front -= 1
+            self._file(task, self._front)
+            task.run_list.next = task.run_list
         else:
             task.run_list.init()
             task.run_list.add(self._head)
@@ -208,14 +248,8 @@ class VanillaScheduler(Scheduler):
     def del_from_runqueue(self, task: Task) -> int:
         if not task.on_runqueue():
             return 0
-        if self._array:
-            if self._smp_fold:
-                i = self._q.index(task)
-                del self._q[i]
-                for wc in self._w:
-                    del wc[i]
-            else:
-                self._q.remove(task)
+        if self._index:
+            self._unfile(task)
         else:
             task.run_list.del_()
         task.run_list.next = None
@@ -227,32 +261,18 @@ class VanillaScheduler(Scheduler):
     def move_first_runqueue(self, task: Task) -> None:
         if not task.in_a_list():
             return
-        if self._array:
-            q = self._q
-            if self._smp_fold:
-                i = q.index(task)
-                q.append(q.pop(i))
-                for wc in self._w:
-                    wc.append(wc.pop(i))
-            else:
-                q.remove(task)
-                q.append(task)
+        if self._index:
+            self._front -= 1
+            self._refile(task, self._front)
         else:
             task.run_list.move(self._head)
 
     def move_last_runqueue(self, task: Task) -> None:
         if not task.in_a_list():
             return
-        if self._array:
-            q = self._q
-            if self._smp_fold:
-                i = q.index(task)
-                q.insert(0, q.pop(i))
-                for wc in self._w:
-                    wc.insert(0, wc.pop(i))
-            else:
-                q.remove(task)
-                q.insert(0, task)
+        if self._index:
+            self._back += 1
+            self._refile(task, self._back)
         else:
             task.run_list.move_tail(self._head)
 
@@ -283,15 +303,17 @@ class VanillaScheduler(Scheduler):
             cost += self.del_from_runqueue(prev)
 
         prev_eligible = prev is not idle and prev.is_runnable()
-        array = self._array
-        if array and prev is not idle and prev.on_runqueue():
-            # prev's counter ticked down (and its processor moved) while
-            # it ran; this entry is the first scan that can see it as a
-            # non-running task again, so bring its cached weight current.
-            self._refresh_weight(prev)
-            if self._smp_fold:
-                self._refresh_row(prev, self._q.index(prev))
-        other = SchedPolicy.SCHED_OTHER
+        this_cpu = cpu.cpu_id
+        this_mm = prev.mm
+        index = self._index
+        if index:
+            if prev is not idle and prev.on_runqueue():
+                # prev's counter ticked down (and its processor moved)
+                # while it ran; this entry is the first pick that can see
+                # it as a non-running task again.
+                self._refile(prev, prev.rq_weight & _ORDER_MASK)
+            scanned = self._len - self._queued_running(prev)
+        other_policy = SchedPolicy.SCHED_OTHER
 
         for _round in range(_MAX_REPEATS):
             c = -1000
@@ -305,103 +327,27 @@ class VanillaScheduler(Scheduler):
                     prev.yield_pending = False
                     c = 0
                 else:
-                    c = goodness(prev, cpu.cpu_id, prev.mm)
+                    c = goodness(prev, this_cpu, prev.mm)
                 next_task = prev
                 examined += 1
-            # The scan is the hot path of the whole simulation (it runs
-            # once per schedule() entry over every queued task), so
-            # goodness() is inlined here; test_goodness_inline_matches
-            # pins the two implementations together.
-            this_cpu = cpu.cpu_id
-            this_mm = prev.mm
-            if array:
-                # Front-to-back == reversed(contiguous array).  Several
-                # loop bodies instead of one so the per-element work is
-                # exactly the loads the variant needs: rq_weight already
-                # encodes counter/priority/policy (and, with
-                # _fold_proc, the affinity bonus) — see module docstring.
-                q = self._q
-                if self._smp_fold:
-                    # SMP with per-CPU pre-folded weights: the affinity
-                    # bonus lives in this CPU's row, so the loop never
-                    # touches task.processor (or counter/priority).
-                    wq = self._w[this_cpu]
-                    if this_mm is None:
-                        for task, weight in zip(reversed(q), reversed(wq)):
-                            if task.has_cpu:
-                                continue
-                            examined += 1
-                            if weight < 0:
-                                weight = -weight
-                            if weight > c:
-                                c = weight
-                                next_task = task
-                    else:
-                        for task, weight in zip(reversed(q), reversed(wq)):
-                            if task.has_cpu:
-                                continue
-                            examined += 1
-                            if weight > 0:
-                                if task.mm is this_mm:
-                                    weight += 1
-                            elif weight < 0:
-                                weight = -weight
-                            if weight > c:
-                                c = weight
-                                next_task = task
-                elif not self._fold_proc:
-                    # SMP: the querying CPU varies, keep the processor
-                    # test dynamic.
-                    for task in reversed(q):
-                        if task.has_cpu:
-                            continue  # running somewhere (prev included)
-                        examined += 1
-                        weight = task.rq_weight
-                        if weight > 0:
-                            if task.mm is this_mm and this_mm is not None:
-                                weight += 1
-                            if task.processor == this_cpu:
-                                weight += 15
-                        elif weight < 0:
-                            weight = -weight  # real-time: 1000 + rt_priority
-                        if weight > c:
-                            c = weight
-                            next_task = task
-                elif this_mm is None:
-                    for task in reversed(q):
-                        if task.has_cpu:
-                            continue
-                        examined += 1
-                        weight = task.rq_weight
-                        if weight < 0:
-                            weight = -weight
-                        if weight > c:
-                            c = weight
-                            next_task = task
-                else:
-                    for task in reversed(q):
-                        if task.has_cpu:
-                            continue
-                        examined += 1
-                        weight = task.rq_weight
-                        if weight > 0:
-                            if task.mm is this_mm:
-                                weight += 1
-                        elif weight < 0:
-                            weight = -weight
-                        if weight > c:
-                            c = weight
-                            next_task = task
+            if index:
+                examined += scanned
+                best, weight = self._best_head(this_cpu, this_mm)
+                if weight > c:
+                    c = weight
+                    next_task = best
             else:
+                # The walk is goodness() inlined;
+                # test_goodness_inline_matches pins the two together.
                 head = self._head
                 node = head.next
                 while node is not head:
                     task = node.owner
                     node = node.next
                     if task.has_cpu:
-                        continue
+                        continue  # running somewhere (prev included)
                     examined += 1
-                    if task.policy is other:
+                    if task.policy is other_policy:
                         counter = task.counter
                         if counter == 0:
                             weight = 0
@@ -441,21 +387,18 @@ class VanillaScheduler(Scheduler):
         )
 
     def recalculate_counters(self) -> int:
-        """Recalculate, then bring every queued task's cached weight current.
+        """Recalculate, then rebuild every class from the new counters.
 
-        The refresh is simulator bookkeeping, not simulated work: the
+        The rebuild is simulator bookkeeping, not simulated work: the
         cycle charge is the inherited recalc cost, identical for both
-        queue layouts (the bit-identity suites depend on that).
+        implementations (the bit-identity suites depend on that).
         """
         charge = super().recalculate_counters()
-        if self._array:
-            refresh = self._refresh_weight
-            for task in self._q:
-                refresh(task)
-            if self._smp_fold:
-                refresh_row = self._refresh_row
-                for i, task in enumerate(self._q):
-                    refresh_row(task, i)
+        if self._index:
+            queued = [task for cls in self._classes.values() for task in cls]
+            self._classes = {}
+            for task in queued:
+                self._file(task, task.rq_weight & _ORDER_MASK)
         return charge
 
     # -- introspection --------------------------------------------------------
@@ -464,6 +407,8 @@ class VanillaScheduler(Scheduler):
         return self._len
 
     def runqueue_tasks(self) -> list[Task]:
-        if self._array:
-            return list(reversed(self._q))
+        if self._index:
+            queued = [task for cls in self._classes.values() for task in cls]
+            queued.sort(key=lambda task: task.rq_weight & _ORDER_MASK)
+            return queued
         return [node.owner for node in self._head]

@@ -27,6 +27,7 @@ stealing — exactly as they would on real processors.
 from __future__ import annotations
 
 import time
+import traceback
 from typing import Callable, Iterable, Optional
 
 from ..kernel.cost_model import CostModel
@@ -43,7 +44,27 @@ from ..obs.probes import ProfilerProbe
 from ..sched.base import Scheduler
 from ..sched.stats import SchedStats
 
-__all__ = ["SchedulerExecutor"]
+__all__ = ["SchedulerExecutor", "MAX_RESTART_CAUSES", "record_restart"]
+
+#: Restart causes a supervisor keeps; its restart count goes on past it.
+MAX_RESTART_CAUSES = 8
+
+
+def record_restart(causes: list[dict[str, str]], exc: BaseException) -> None:
+    """Note why a supervisor rebuilt its executor.
+
+    Appends the exception type and the innermost frames of its
+    traceback to ``causes``, up to :data:`MAX_RESTART_CAUSES` entries, so
+    that a restart nobody injected can be told from one a fault plan
+    asked for.
+    """
+    if len(causes) < MAX_RESTART_CAUSES:
+        lines = traceback.format_exception(
+            type(exc), exc, exc.__traceback__, limit=-3
+        )
+        causes.append(
+            {"type": type(exc).__name__, "traceback": "".join(lines)}
+        )
 
 
 class _Clock:

@@ -28,7 +28,7 @@ from typing import Any, Optional
 from ..kernel.task import Task
 from . import protocol
 from .config import ServeConfig
-from .executor import SchedulerExecutor
+from .executor import SchedulerExecutor, record_restart
 from .metrics import DepthTracker
 
 __all__ = ["ChatServer", "Session"]
@@ -106,6 +106,8 @@ class ChatServer:
         self.expired = 0
         #: Scheduler-adapter crashes survived by rebuilding the executor.
         self.executor_restarts = 0
+        #: Why the first few of them happened (see record_restart).
+        self.restart_causes: list[dict[str, str]] = []
         self.dropped_fanout = 0
         self.deliveries = 0
         self.protocol_errors = 0
@@ -320,11 +322,12 @@ class ChatServer:
                 self._serve(task)
             except asyncio.CancelledError:
                 raise
-            except Exception:  # noqa: BLE001 — supervised: degrade, don't die
+            except Exception as exc:  # noqa: BLE001 — supervised: degrade, don't die
                 # The scheduler adapter crashed out of a pick or a
                 # serve.  Rebuild it with every session intact and keep
                 # dispatching; the restart is the metric, not the end.
                 self.executor_restarts += 1
+                record_restart(self.restart_causes, exc)
                 executor.rebuild()
                 await asyncio.sleep(0)
                 continue
@@ -394,6 +397,7 @@ class ChatServer:
             "shed_retry_after": self.shed_retry_after,
             "expired": self.expired,
             "executor_restarts": self.executor_restarts,
+            "restart_causes": list(self.restart_causes),
             "dropped_fanout": self.dropped_fanout,
             "protocol_errors": self.protocol_errors,
             "sessions_total": self.sessions_total,

@@ -104,6 +104,7 @@ class LoadtestResult:
             "picks": self.executor.picks,
             "idle_picks": self.executor.idle_picks,
             "fault_events": len(self.fault_events),
+            "restart_causes": self.server_counters["restart_causes"],
         }
         return out
 

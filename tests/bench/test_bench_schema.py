@@ -23,7 +23,7 @@ from repro.harness.registry import SCHEDULERS
 #: exactly the point: a matrix edit must be a conscious, reviewed act,
 #: because it severs comparability with every committed BENCH file.
 GOLDEN_FULL_HASH = (
-    "bdb0720cd9ec010c6c1dbf1c2466d6b03b020b05082741ad5c246ad7fd29ba95"
+    "1796a35d7f150df05ecc7d1d2a34f45a7bbddce09cb45f1334c3bc5deabd08b8"
 )
 GOLDEN_SMOKE_HASH = (
     "847b3e1fc444842981267a3346e4247db35417afe969da761599d247632ec1c1"
@@ -116,9 +116,9 @@ def test_smoke_pairs_are_a_subset():
     assert full[smoke[0].cell_id] == smoke[0].descriptor()
 
 
-def test_pairs_cover_all_four_hot_path_dimensions():
+def test_pairs_cover_all_three_hot_path_dimensions():
     dims = {p.dimension for p in pair_cells()}
-    assert dims == {"runqueue", "elsc-table", "probe-batch", "smp-weights"}
+    assert dims == {"runqueue", "elsc-table", "probe-batch"}
 
 
 def test_matrix_hash_tracks_descriptor_changes(monkeypatch):

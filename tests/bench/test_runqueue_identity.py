@@ -1,7 +1,7 @@
-"""Bit-identity of the array-backed run queues against the legacy lists.
+"""Bit-identity of the fast run queues against the legacy lists.
 
-The hot-path work (sched/vanilla.py ``impl="array"`` with its cached
-``rq_weight``, core/table.py :class:`ELSCRunqueueTable`) is *pure
+The hot-path work (sched/vanilla.py's default goodness index,
+core/table.py :class:`ELSCRunqueueTable`) is *pure
 mechanism*: the BENCH before/after pairs are only honest if the two
 sides of each pair compute exactly the same schedule.  These tests run
 full workloads through both layouts and require every SchedStats
@@ -57,20 +57,20 @@ def _kernbench_fingerprint(factory, spec_name):
 
 @pytest.mark.parametrize("spec_name", SPECS)
 def test_vanilla_array_matches_list_volano(spec_name):
-    array = _volano_fingerprint(lambda: VanillaScheduler(impl="array"),
+    index = _volano_fingerprint(lambda: VanillaScheduler(impl="index"),
                                 spec_name)
     linked = _volano_fingerprint(lambda: VanillaScheduler(impl="list"),
                                  spec_name)
-    assert array == linked
+    assert index == linked
 
 
 @pytest.mark.parametrize("spec_name", SPECS)
 def test_vanilla_array_matches_list_kernbench(spec_name):
-    array = _kernbench_fingerprint(lambda: VanillaScheduler(impl="array"),
+    index = _kernbench_fingerprint(lambda: VanillaScheduler(impl="index"),
                                    spec_name)
     linked = _kernbench_fingerprint(lambda: VanillaScheduler(impl="list"),
                                     spec_name)
-    assert array == linked
+    assert index == linked
 
 
 @pytest.mark.parametrize("spec_name", SPECS)

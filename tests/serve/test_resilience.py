@@ -91,3 +91,38 @@ def test_executor_rebuild_preserves_handlers_directly():
     # Retired stats still count toward the merged view.
     merged = executor.merged_stats()
     assert merged.schedule_calls >= before + 1
+
+
+def test_unplanned_restart_is_recorded_and_fails_loadtest(tmp_path, monkeypatch):
+    """A policy that raises once with no fault plan: the server survives,
+    records the cause, and ``repro loadtest`` exits nonzero."""
+    import json
+
+    from repro.cli import main
+    from repro.sched.vanilla import VanillaScheduler
+
+    schedule = VanillaScheduler.schedule
+    raised = []
+
+    def schedule_raising_once(self, prev, cpu):
+        if not raised:
+            raised.append(True)
+            raise ValueError("policy bug")
+        return schedule(self, prev, cpu)
+
+    monkeypatch.setattr(VanillaScheduler, "schedule", schedule_raising_once)
+    out = tmp_path / "loadtest.json"
+    rc = main([
+        "loadtest", "--scheduler", "reg", "--spec", "UP",
+        "--rooms", "1", "--clients", "2", "--messages", "10",
+        "--interval-ms", "10", "--duration", "4", "--no-cache",
+        "--manifest", str(tmp_path / "manifest.jsonl"), "--json", str(out),
+    ])
+    assert rc == 1
+    m = json.loads(out.read_text())["metrics"]
+    assert m["executor_restarts"] == 1
+    assert m["completed"] == m["sent"] == 20
+    (cause,) = m["restart_causes"]
+    assert cause["type"] == "ValueError"
+    assert "schedule_raising_once" in cause["traceback"]
+    assert "policy bug" in cause["traceback"]
