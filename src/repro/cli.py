@@ -265,7 +265,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if args.metrics:
             from .obs import MetricsProbe
 
-            executor.attach(MetricsProbe())
+            executor.machine.attach(MetricsProbe())
         server = ChatServer(executor, config)
         await server.start(args.host)
         print(
@@ -369,18 +369,44 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             _json.dump(payload, handle, indent=1, sort_keys=True)
             handle.write("\n")
         print(f"(metrics written to {args.json})", file=sys.stderr)
-    if m["executor_restarts"] and not args.fault_plan:
-        # Degrade-don't-die must not hide a bug: with no fault injected,
-        # any restart is a failure.
-        for cause in restart_causes:
-            print(cause["traceback"], file=sys.stderr)
-        print(
-            f"error: {m['executor_restarts']} executor restart(s) "
-            "with no fault plan",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _restart_gate(
+        m["executor_restarts"], {"server": restart_causes}, bool(args.fault_plan)
+    )
+
+
+def _restart_gate(
+    restarts: int, causes: dict[str, list], planned: bool
+) -> int:
+    """Exit status for executor restarts: 1 when any happened unplanned.
+
+    Degrade-don't-die must not hide a bug: with no fault injected, any
+    restart is a failure.  ``causes`` maps each host to the restart
+    causes it recorded; their tracebacks go to stderr.
+    """
+    if not restarts or planned:
+        return 0
+    for host, host_causes in causes.items():
+        for cause in host_causes:
+            print(f"[{host}] {cause['traceback']}", file=sys.stderr)
+    print(
+        f"error: {restarts} executor restart(s) with no fault plan "
+        "to cause them",
+        file=sys.stderr,
+    )
+    return 1
+
+
+def _cluster_restart_gate(report, plan) -> int:
+    """:func:`_restart_gate` over a cluster run's shards: only a plan
+    with an ``executor_crash`` fault may restart an executor."""
+    causes = {
+        f"shard-{sid}": payload.get("counters", {}).get("restart_causes", [])
+        for sid, payload in sorted(report.shards.items())
+    }
+    planned = plan is not None and "executor_crash" in plan.kinds()
+    return _restart_gate(
+        report.aggregate.get("executor_restarts", 0), causes, planned
+    )
 
 
 def _volano_cell_overrides(args: argparse.Namespace, rooms: int) -> dict:
@@ -1002,9 +1028,11 @@ def cmd_cluster_loadtest(args: argparse.Namespace) -> int:
     import asyncio
 
     from .cluster import run_cluster_loadtest
+    from .faults import resolve_plan
 
     config = _cluster_config_from_args(args)
-    report = asyncio.run(run_cluster_loadtest(config))
+    plan = resolve_plan(config.fault_plan) if config.fault_plan else None
+    report = asyncio.run(run_cluster_loadtest(config, plan))
     _print_cluster_report(
         f"Cluster loadtest — {config.shards}×{config.scheduler}"
         f"/{config.machine}, {config.rooms} rooms × "
@@ -1012,7 +1040,8 @@ def cmd_cluster_loadtest(args: argparse.Namespace) -> int:
         report,
     )
     _write_cluster_json(args, report)
-    return 0 if report.survived else 1
+    gate = _cluster_restart_gate(report, plan)
+    return 0 if report.survived and not gate else 1
 
 
 def cmd_cluster_chaos(args: argparse.Namespace) -> int:
@@ -1023,16 +1052,14 @@ def cmd_cluster_chaos(args: argparse.Namespace) -> int:
     from .faults import resolve_plan
 
     config = _cluster_config_from_args(args)
-    plan = None
-    if args.plan:
-        try:
-            plan = resolve_plan(args.plan)
-        except (KeyError, OSError, ValueError) as exc:
-            raise SystemExit(f"cluster chaos: {exc}")
-    elif not config.fault_plan:
+    if not (args.plan or config.fault_plan):
         raise SystemExit(
             "cluster chaos: give --plan, or --scenario with a fault plan"
         )
+    try:
+        plan = resolve_plan(args.plan or config.fault_plan)
+    except (KeyError, OSError, ValueError) as exc:
+        raise SystemExit(f"cluster chaos: {exc}")
     report = asyncio.run(run_cluster_loadtest(config, plan))
     _print_cluster_report(
         f"Cluster chaos — plan {report.plan_name!r}, {config.shards} "
@@ -1050,7 +1077,8 @@ def cmd_cluster_chaos(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     _write_cluster_json(args, report)
-    return 0 if report.survived and report.recovered else 1
+    gate = _cluster_restart_gate(report, plan)
+    return 0 if report.survived and report.recovered and not gate else 1
 
 
 def cmd_clean_cache(args: argparse.Namespace) -> int:

@@ -19,9 +19,9 @@ a ``handback`` frame makes this shard export the sessions/rooms living
 on a returning shard's slots (a :func:`snapshot_entries` snapshot over
 a peer-link ``handoff``), drop them, and ack — while an incoming
 ``handoff`` re-primes a freshly respawned shard with exactly that
-state.  The dispatch loop carries
-the serve layer's supervision contract: a crashed scheduler adapter is
-rebuilt in place (``executor_restarts``), never fatal.
+state.  Dispatch runs the serve layer's supervised loop
+(:func:`~repro.serve.executor.supervise`): a crashed scheduler adapter
+is rebuilt in place (``executor_restarts``), never fatal.
 
 This module is the subprocess side only — :func:`shard_main` is the
 ``multiprocessing`` entry point; the router lives in the parent.
@@ -36,7 +36,7 @@ from typing import Any, Optional
 
 from ..kernel.task import Task
 from ..serve import protocol
-from ..serve.executor import record_restart
+from ..serve.executor import supervise
 from ..serve.protocol import ProtocolError
 from . import wire
 from .config import ClusterConfig, room_slot, session_slot
@@ -106,8 +106,6 @@ class ShardCore:
         self.fwd_dropped = 0
         self.fwd_misses = 0
         self.shed = 0
-        self.executor_restarts = 0
-        self.restart_causes: list[dict[str, str]] = []
         self.repl_entries_out = 0
         self.repl_entries_in = 0
         self.promotions = 0
@@ -134,7 +132,8 @@ class ShardCore:
             }
         )
         self._dispatcher = asyncio.create_task(
-            self._dispatch_loop(), name=f"{self.name}-dispatch"
+            supervise(self.executor, self._work, self._serve),
+            name=f"{self.name}-dispatch",
         )
         try:
             while True:
@@ -474,32 +473,7 @@ class ShardCore:
         ):
             self.repl_entries_out += len(entries)
 
-    # -- the scheduler-driven dispatch loop ---------------------------
-
-    async def _dispatch_loop(self) -> None:
-        executor = self.executor
-        while True:
-            if not executor.has_runnable():
-                self._work.clear()
-                if not executor.has_runnable():
-                    await self._work.wait()
-                continue
-            try:
-                task = executor.pick()
-                if task is None:
-                    await asyncio.sleep(0)
-                    continue
-                self._serve(task)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # noqa: BLE001 — supervised: degrade, don't die
-                self.executor_restarts += 1
-                record_restart(self.restart_causes, exc)
-                executor.rebuild()
-                await asyncio.sleep(0)
-                continue
-            self._flush_repl()
-            await asyncio.sleep(0)
+    # -- the scheduler-driven dispatch --------------------------------
 
     def _serve(self, task: Task) -> None:
         session: ShardSession = task.user
@@ -511,6 +485,7 @@ class ShardCore:
             self._complete(message)
         self.executor.charge_slice(task)
         self.executor.release(task, blocked=not session.inbox)
+        self._flush_repl()
 
     def _complete(self, message: dict[str, Any]) -> None:
         """One dispatched request: fan out locally or forward cross-shard."""
@@ -563,8 +538,8 @@ class ShardCore:
             "fwd_dropped": self.fwd_dropped,
             "fwd_misses": self.fwd_misses,
             "shed": self.shed,
-            "executor_restarts": self.executor_restarts,
-            "restart_causes": list(self.restart_causes),
+            "executor_restarts": self.executor.rebuilds,
+            "restart_causes": list(self.executor.restart_causes),
             "repl_entries_out": self.repl_entries_out,
             "repl_entries_in": self.repl_entries_in,
             "promotions": self.promotions,
@@ -581,7 +556,7 @@ class ShardCore:
     def _metrics_frame(self) -> dict[str, Any]:
         from ..obs.metrics import MetricsProbe  # local import: layering
 
-        probe = self.executor.probes.first(MetricsProbe)
+        probe = self.executor.machine.probes.first(MetricsProbe)
         return {
             "op": protocol.OP_METRICS,
             "shard": self.shard_id,
@@ -604,7 +579,7 @@ def shard_main(shard_id: int, router_port: int, config_dict: dict) -> None:
     if config.metrics:
         from ..obs.metrics import MetricsProbe
 
-        executor.attach(MetricsProbe())
+        executor.machine.attach(MetricsProbe())
     core = ShardCore(shard_id, config, executor)
     try:
         asyncio.run(core.run("127.0.0.1", router_port))

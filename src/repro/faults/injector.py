@@ -1,7 +1,7 @@
 """Deterministic kernel-level fault injection.
 
 :class:`FaultInjector` binds to a :class:`~repro.kernel.machine.Machine`
-exactly the way the profiler does — ``machine.attach_faults(injector)``
+exactly the way the profiler does — ``machine.attach(injector)``
 sets one attribute and schedules one CALLBACK event per kernel fault in
 the plan.  A machine with no injector attached executes the identical
 instruction stream it always did (the zero-cost guarantee the

@@ -213,7 +213,6 @@ class Machine:
         self.clock = Clock()
         self.events = EventQueue()
         self.cpus = [CPU(i) for i in range(num_cpus)]
-        self.scheduler = scheduler
         self.handle = KernelHandle(self)
         #: All tasks ever created, pid-keyed; live_tasks() filters exits.
         self._tasks: dict[int, Task] = {}
@@ -242,16 +241,25 @@ class Machine:
         self._resume_cbs = [
             partial(Machine._resume_dispatch_cb, cpu=cpu) for cpu in self.cpus
         ]
-        #: API v2 lifecycle hooks, detected once: a scheduler that keeps
-        #: the base no-ops pays nothing on the tick/fork/exit paths (and
-        #: its event stream stays bit-identical to the pre-hook kernel).
+        self._bind(scheduler)
+
+    def _bind(self, scheduler: "Scheduler") -> None:
+        """Make ``scheduler`` this host's policy (also a crashed one's
+        replacement) and tell the probes its name.
+
+        API v2 lifecycle hooks are detected once here: a scheduler that
+        keeps the base no-ops pays nothing on the tick/fork/exit paths
+        (and its event stream stays bit-identical to the pre-hook kernel).
+        """
         from ..sched.base import Scheduler as _SchedulerBase
 
+        self.scheduler = scheduler
         sched_cls = type(scheduler)
         self._hook_tick = sched_cls.on_tick is not _SchedulerBase.on_tick
         self._hook_fork = sched_cls.on_fork is not _SchedulerBase.on_fork
         self._hook_exit = sched_cls.on_exit is not _SchedulerBase.on_exit
         scheduler.bind(self)
+        self.probes.set_scheduler(scheduler.name)
 
     # -- observers ---------------------------------------------------------
 
@@ -293,18 +301,6 @@ class Machine:
 
         return self.probes.first(FaultInjector)
 
-    def attach_tracer(self, tracer: Optional[Tracer] = None) -> Tracer:
-        """Deprecated: ``attach(TracerProbe(tracer))``.  Returns the ring."""
-        return self.attach(TracerProbe(tracer)).tracer
-
-    def attach_profiler(self, prof: Optional[Any] = None) -> Any:
-        """Deprecated: ``attach(ProfilerProbe(prof))``.  Returns the sink."""
-        return self.attach(ProfilerProbe(prof)).sink
-
-    def attach_faults(self, injector: Any) -> Any:
-        """Deprecated: ``attach(injector)``; schedules its plan."""
-        return self.attach(injector)
-
     # -- task population -----------------------------------------------------
 
     def spawn(
@@ -326,12 +322,17 @@ class Machine:
             body=body,
         )
         task.start(self.handle)
+        self._add_task(task)
+        self.wake_up_process(task, self.clock.now)
+        return task
+
+    def _add_task(self, task: Task) -> None:
+        """Enter a new task in the task table (``fork``), before its
+        first wakeup."""
         self._tasks[task.pid] = task
         self._live_count += 1
         if self._hook_fork:
             self.scheduler.on_fork(task)
-        self.wake_up_process(task, self.clock.now)
-        return task
 
     def live_tasks(self) -> Iterable[Task]:
         """``for_each_task``: every non-exited task."""
@@ -363,17 +364,32 @@ class Machine:
         for interrupt/timer context); spin time on the runqueue lock is
         only charged when the lock is held by a *different* CPU.
         """
-        if task.exited:
+        charge = self._wake(task, t, waker_cpu)
+        if charge is None:
             return 0
+        self._reschedule_idle(task, t + charge)
+        return charge
+
+    def _wake(
+        self, task: Task, t: int, waker_cpu: Optional[CPU] = None
+    ) -> Optional[int]:
+        """``wake_up_process`` short of ``reschedule_idle``: put ``task``
+        on the run queue under the lock model.
+
+        Returns the cycle cost charged to the waker, or None when the
+        wake enqueued nothing.
+        """
+        if task.exited:
+            return None
         if task.state is TaskState.RUNNING and task.on_runqueue():
-            return 0  # already runnable (spurious wake)
+            return None  # already runnable (spurious wake)
         task.state = TaskState.RUNNING
         if task.on_runqueue():
             # Kernel wake_up_process: a task that is still on the run
             # queue (it blocked but its CPU has not finished switching
             # away) just becomes runnable again — no insert, no
             # reschedule_idle; it is already current somewhere.
-            return 0
+            return None
         task.wakeup_count += 1
         probes = self.probes
         charge = self.cost.wakeup_cost
@@ -416,7 +432,6 @@ class Machine:
                         t, waker, 0, task, self.cost.wakeup_cost + insert, 0
                     )
                 )
-        self._reschedule_idle(task, t + charge)
         return charge
 
     def _reschedule_idle(self, task: Task, t: int) -> None:
@@ -505,94 +520,9 @@ class Machine:
         if cpu.is_idle():
             cpu.idle_cycles += max(0, at - cpu.idle_since)
         while True:
-            cpu.need_resched = False
-            cpu.dispatches += 1
-            prev = cpu.current
-            stats = self.scheduler.stats
-            # -- runqueue lock ------------------------------------------------
-            spin = 0
-            hold = 0
-            start = at
-            if self.smp:
-                if (
-                    self.scheduler.uses_global_lock
-                    and self.lock_free_at > at
-                    and self.lock_owner_cpu != cpu.cpu_id
-                ):
-                    start = self.lock_free_at
-                    spin = start - at
-                hold = self.cost.lock_acquire
-            decision = self.scheduler.schedule(prev, cpu)
-            dec_end = start + hold + decision.cost
-            if self.smp:
-                self.lock_free_at = dec_end
-                self.lock_owner_cpu = cpu.cpu_id
-            stats.lock_spin_cycles += spin
-            next_task = decision.next_task
-            # -- context switch ------------------------------------------------
-            switch = 0
-            target = next_task if next_task is not None else cpu.idle_task
-            if target is not prev:
-                same_mm = target.mm is None or target.mm is prev.mm
-                switch = self.cost.switch_cost(same_mm)
-                stats.switches += 1
-            end = dec_end + switch
-            probes = self.probes
-            if probes.lock and (spin or hold):
-                probes.emit_lock(LockEvent(at, cpu.cpu_id, prev, spin, hold))
-            if probes.sched:
-                # migrated_from is captured before the pick overwrites
-                # the chosen task's ``processor`` below.
-                migrated_from = None
-                if (
-                    next_task is not None
-                    and next_task.processor != cpu.cpu_id
-                    and next_task.processor != -1
-                ):
-                    migrated_from = next_task.processor
-                sched_ev = SchedEvent(
-                    at,
-                    start,
-                    dec_end,
-                    end,
-                    cpu.cpu_id,
-                    prev,
-                    next_task,
-                    target,
-                    decision.cost,
-                    decision.eval_cycles,
-                    decision.recalc_cycles,
-                    decision.examined,
-                    switch,
-                    migrated_from,
-                )
-                probes.emit_sched(sched_ev)
-            prev.has_cpu = False
-            if next_task is None:
-                # Idle: park the CPU; wakeups restart it.
-                stats.idle_schedules += 1
-                cpu.current = cpu.idle_task
-                cpu.idle_task.has_cpu = True
-                cpu.idle_since = end
-                cpu.cancel_tick()
-                return
-            # -- accounting for the chosen task ----------------------------------
-            if next_task.processor != cpu.cpu_id:
-                stats.picks_without_affinity += 1
-                if next_task.processor != -1:
-                    stats.migrations += 1
-                    next_task.migration_count += 1
-                    next_task.cache_cold = True
-            if (
-                next_task is not prev
-                and next_task.mm is not None
-                and next_task.mm is prev.mm
-            ):
-                stats.picks_same_mm += 1
-            next_task.has_cpu = True
-            next_task.processor = cpu.cpu_id
-            next_task.dispatch_count += 1
-            cpu.current = next_task
+            end = self._pick(cpu, at)
+            if cpu.current is cpu.idle_task:
+                return  # idle: parked until a wakeup restarts it
             self._arm_tick(cpu, end)
             resume_at = self._advance_task(cpu, end)
             if resume_at is None:
@@ -609,6 +539,105 @@ class Machine:
                     self._resume_cbs[cpu.cpu_id],
                 )
                 return
+
+    def _pick(self, cpu: CPU, at: int) -> int:
+        """One ``schedule()`` on ``cpu`` at time ``at``, with its bookkeeping.
+
+        Charges the runqueue lock and the context switch, emits the
+        probe events, and installs the choice as ``cpu.current`` (the
+        idle task when the policy found nothing).  Returns the time the
+        switch ends.
+        """
+        cpu.need_resched = False
+        cpu.dispatches += 1
+        prev = cpu.current
+        stats = self.scheduler.stats
+        # -- runqueue lock --------------------------------------------------
+        spin = 0
+        hold = 0
+        start = at
+        if self.smp:
+            if (
+                self.scheduler.uses_global_lock
+                and self.lock_free_at > at
+                and self.lock_owner_cpu != cpu.cpu_id
+            ):
+                start = self.lock_free_at
+                spin = start - at
+            hold = self.cost.lock_acquire
+        decision = self.scheduler.schedule(prev, cpu)
+        dec_end = start + hold + decision.cost
+        if self.smp:
+            self.lock_free_at = dec_end
+            self.lock_owner_cpu = cpu.cpu_id
+        stats.lock_spin_cycles += spin
+        next_task = decision.next_task
+        # -- context switch ------------------------------------------------
+        switch = 0
+        target = next_task if next_task is not None else cpu.idle_task
+        if target is not prev:
+            same_mm = target.mm is None or target.mm is prev.mm
+            switch = self.cost.switch_cost(same_mm)
+            stats.switches += 1
+        end = dec_end + switch
+        probes = self.probes
+        if probes.lock and (spin or hold):
+            probes.emit_lock(LockEvent(at, cpu.cpu_id, prev, spin, hold))
+        if probes.sched:
+            # migrated_from is captured before the pick overwrites
+            # the chosen task's ``processor`` below.
+            migrated_from = None
+            if (
+                next_task is not None
+                and next_task.processor != cpu.cpu_id
+                and next_task.processor != -1
+            ):
+                migrated_from = next_task.processor
+            sched_ev = SchedEvent(
+                at,
+                start,
+                dec_end,
+                end,
+                cpu.cpu_id,
+                prev,
+                next_task,
+                target,
+                decision.cost,
+                decision.eval_cycles,
+                decision.recalc_cycles,
+                decision.examined,
+                switch,
+                migrated_from,
+            )
+            probes.emit_sched(sched_ev)
+        prev.has_cpu = False
+        if next_task is None:
+            # Idle: park the CPU; wakeups restart it.
+            stats.idle_schedules += 1
+            cpu.current = cpu.idle_task
+            cpu.idle_task.has_cpu = True
+            cpu.idle_since = end
+            cpu.cancel_tick()
+            return end
+        # -- accounting for the chosen task ----------------------------------
+        if next_task.processor != cpu.cpu_id:
+            stats.picks_without_affinity += 1
+            if next_task.processor != -1:
+                stats.migrations += 1
+                next_task.migration_count += 1
+                next_task.cache_cold = True
+        if (
+            next_task is not prev
+            and next_task.mm is not None
+            and next_task.mm is prev.mm
+        ):
+            stats.picks_same_mm += 1
+        next_task.has_cpu = True
+        next_task.processor = cpu.cpu_id
+        next_task.dispatch_count += 1
+        cpu.current = next_task
+
+        return end
 
     # -- advancing a task's body ------------------------------------------------
 
@@ -794,15 +823,19 @@ class Machine:
         return action
 
     def _do_exit(self, task: Task, t: int) -> int:
+        self._retire(task)
+        if self.probes.syscall:
+            cpu_id = task.processor if task.processor >= 0 else -1
+            self.probes.emit_syscall(SyscallEvent(t, cpu_id, task, "exit"))
+        return t
+
+    def _retire(self, task: Task) -> None:
+        """Take an exiting task off the run queue and out of the live count."""
         task.mark_exited()
         self.scheduler.del_from_runqueue(task)
         self._live_count -= 1
         if self._hook_exit:
             self.scheduler.on_exit(task)
-        if self.probes.syscall:
-            cpu_id = task.processor if task.processor >= 0 else -1
-            self.probes.emit_syscall(SyscallEvent(t, cpu_id, task, "exit"))
-        return t
 
     # -- timer ticks ----------------------------------------------------------------
 
@@ -818,15 +851,8 @@ class Machine:
             return  # tick chain dies; re-armed at next dispatch
         self.total_ticks += 1
         task = cpu.current
-        task.ticks_consumed += 1
-        if task.policy is not SchedPolicy.SCHED_FIFO:
-            if task.counter > 0:
-                task.counter -= 1
-            if task.counter <= 0:
-                task.counter = 0
-                cpu.need_resched = True
-            if self._hook_tick:
-                self.scheduler.on_tick(task, cpu.cpu_id)
+        if self._charge_tick(task, cpu.cpu_id):
+            cpu.need_resched = True
         if cpu.need_resched:
             self.scheduler.stats.preemptions += 1
             if self.probes.sched:
@@ -838,6 +864,24 @@ class Machine:
         cpu.tick_event = self.events.schedule(
             t + CYCLES_PER_TICK, EventKind.TICK, cpu
         )
+
+    def _charge_tick(self, task: Task, cpu_id: int) -> bool:
+        """Charge one timer tick to ``task``; True when its quantum is spent.
+
+        SCHED_FIFO runs untimed.  Every other policy burns one unit of
+        ``counter`` and then hears ``on_tick``.
+        """
+        task.ticks_consumed += 1
+        if task.policy is SchedPolicy.SCHED_FIFO:
+            return False
+        if task.counter > 0:
+            task.counter -= 1
+        spent = task.counter <= 0
+        if spent:
+            task.counter = 0
+        if self._hook_tick:
+            self.scheduler.on_tick(task, cpu_id)
+        return spent
 
     # -- the event loop -----------------------------------------------------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from ..obs.probes import ProfilerProbe
 from ..sched.base import Scheduler
 from ..sched.stats import SchedStats
 from .cost_model import CostModel
@@ -125,14 +126,14 @@ class Simulator:
         scheduler = self.scheduler_factory()
         machine = make_machine(scheduler, self.spec, self.cost)
         if self.prof is not None:
-            machine.attach_profiler(self.prof)
+            machine.attach(ProfilerProbe(self.prof))
         if self.metrics is not None:
             machine.attach(self.metrics)
         injector = None
         if self.fault_plan is not None:
             from ..faults.injector import FaultInjector  # layering
 
-            injector = machine.attach_faults(FaultInjector(self.fault_plan))
+            injector = machine.attach(FaultInjector(self.fault_plan))
             if until_seconds is None and self.fault_plan.horizon_s > 0:
                 until_seconds = self.fault_plan.horizon_s
         payload = populate(machine) or {}

@@ -12,12 +12,12 @@ API v2 widens the surface with *optional* lifecycle hooks — ``on_tick``,
 ``on_fork``, ``on_exit``, ``task_group``, ``per_cpu_queue_lens`` — all
 defaulted to no-ops so the flat five-function designs run unmodified,
 while hierarchical designs (Clutch) get the group/tick signals they
-need.  Hosts detect overridden hooks at bind time (``type(sched).on_tick
-is not Scheduler.on_tick``) so a default hook costs nothing on the hot
-path.  The host side of the contract is the :class:`ProbeHost`
-protocol: the structural type every bound "machine" — the real
-:class:`~repro.kernel.machine.Machine`, the serve executor's shim, test
-fakes — satisfies.
+need.  The host detects overridden hooks once, at bind time
+(``Machine._bind``), so a default hook costs nothing on the hot path.
+The host side of the contract is the :class:`ProbeHost` protocol: the
+structural type every bound "machine" — the real
+:class:`~repro.kernel.machine.Machine`, which the serve executor also
+runs on, and test fakes — satisfies.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ class ProbeHost(Protocol):
     """What a scheduler may assume about the machine it is bound to.
 
     This formalises the duck type that used to live in ``getattr``
-    calls: the real :class:`~repro.kernel.machine.Machine`, the serve
-    executor's ``_ExecutorMachine`` shim, and test fakes all satisfy
-    it.  ``probes`` is always present (an empty
+    calls: the real :class:`~repro.kernel.machine.Machine` (which the
+    serve executor also runs on) and test fakes satisfy it.
+    ``probes`` is always present (an empty
     :class:`~repro.obs.probe.ProbeSet` when nothing is attached), so
     emission sites test ``host.probes.sched`` directly instead of
     ``getattr(machine, "probes", None)``.
@@ -194,10 +194,10 @@ class Scheduler(abc.ABC):
 
     # -- optional lifecycle hooks (API v2) --------------------------------------
     #
-    # All default to no-ops so flat designs run unmodified.  Hosts check
-    # ``type(scheduler).on_tick is not Scheduler.on_tick`` once at bind
-    # time and skip the call entirely when the default is in place, so a
-    # policy that doesn't care pays zero cycles and keeps bit-identity.
+    # All default to no-ops so flat designs run unmodified.  The host
+    # checks at bind time which of them a policy overrides and skips the
+    # call entirely when the default is in place, so a policy that
+    # doesn't care pays zero cycles and keeps bit-identity.
 
     def on_tick(self, task: "Task", cpu_id: int) -> None:
         """A timer tick was charged to ``task`` on CPU ``cpu_id``.
@@ -259,9 +259,9 @@ class Scheduler(abc.ABC):
         self.stats.recalc_entries += 1
         machine = self.machine
         assert machine is not None, "scheduler not bound to a machine"
-        # Every bound host satisfies ProbeHost — the full Machine, the
-        # serve executor's shim, and test fakes alike — so probes is
-        # always present (empty ProbeSet when detached).
+        # Every bound host satisfies ProbeHost — the Machine (live or
+        # simulated) and test fakes alike — so probes is always present
+        # (empty ProbeSet when detached).
         if machine.probes.sched:
             from ..obs.probe import RecalcEvent
 

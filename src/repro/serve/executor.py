@@ -10,93 +10,46 @@ a live server: each connection handler is mapped to a ``Task``, arrivals
 are wakeups, and "which session do we serve next" is answered by the
 policy's own ``schedule()``.
 
-The executor mirrors the Machine's bookkeeping contract exactly —
-``wake_up_process`` wakeup dedup, ``_dispatch``'s ``has_cpu`` /
-``processor`` / migration accounting — so a policy cannot tell whether
-it is bound to the discrete-event machine or to a socket loop.  The
+The executor owns a real :class:`~repro.kernel.machine.Machine` and
+never runs its event loop.  Handler creation, wakeups, picks, quantum
+ticks and exits go through the machine's own host steps (``_add_task``,
+``_wake``, ``_pick``, ``_charge_tick``, ``_retire``), so the wakeup
+dedup, the runqueue-lock model and the dispatch bookkeeping exist once
+and a policy cannot tell a socket loop from the simulator.  The
 differential conformance test (``tests/serve/``) holds the two hosts to
 the same dispatch order for identical arrival traces.
 
+Virtual time advances only by what each pick costs: the machine clock
+moves to the end of the pick's context switch.
+
 SMP is modelled with *virtual CPUs*: the asyncio loop is one real
-thread, but ``schedule()`` is invoked round-robin over ``num_cpus``
-:class:`~repro.kernel.cpu.CPU` objects, so per-CPU policies (``mq``,
-``o1``) exercise their multi-queue paths — including migrations by
-stealing — exactly as they would on real processors.
+thread, but ``schedule()`` is invoked round-robin over the machine's
+CPUs, so per-CPU policies (``mq``, ``o1``) exercise their multi-queue
+paths — including migrations by stealing — exactly as they would on
+real processors.
 """
 
 from __future__ import annotations
 
+import asyncio
 import time
 import traceback
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ..kernel.cost_model import CostModel
 from ..kernel.cpu import CPU
+from ..kernel.machine import Machine
+from ..kernel.params import DEFAULT_PRIORITY
 from ..kernel.task import SchedPolicy, Task, TaskState
-from ..obs.probe import (
-    DispatchEvent,
-    PreemptEvent,
-    ProbeSet,
-    SchedEvent,
-    WakeupEvent,
-)
+from ..obs.probe import DispatchEvent, PreemptEvent
 from ..obs.probes import ProfilerProbe
 from ..sched.base import Scheduler
 from ..sched.stats import SchedStats
 
-__all__ = ["SchedulerExecutor", "MAX_RESTART_CAUSES", "record_restart"]
+__all__ = ["SchedulerExecutor", "MAX_RESTART_CAUSES", "supervise"]
 
-#: Restart causes a supervisor keeps; its restart count goes on past it.
+#: Restart causes an executor keeps; its restart count goes on past it.
 MAX_RESTART_CAUSES = 8
-
-
-def record_restart(causes: list[dict[str, str]], exc: BaseException) -> None:
-    """Note why a supervisor rebuilt its executor.
-
-    Appends the exception type and the innermost frames of its
-    traceback to ``causes``, up to :data:`MAX_RESTART_CAUSES` entries, so
-    that a restart nobody injected can be told from one a fault plan
-    asked for.
-    """
-    if len(causes) < MAX_RESTART_CAUSES:
-        lines = traceback.format_exception(
-            type(exc), exc, exc.__traceback__, limit=-3
-        )
-        causes.append(
-            {"type": type(exc).__name__, "traceback": "".join(lines)}
-        )
-
-
-class _Clock:
-    """Monotonic virtual time; advanced by decision cost per pick."""
-
-    __slots__ = ("now",)
-
-    def __init__(self) -> None:
-        self.now: int = 0
-
-
-class _ExecutorMachine:
-    """The duck-typed machine a :class:`Scheduler` binds against.
-
-    Provides every attribute the scheduler layer touches — ``cost``,
-    ``smp``, ``cpus``, ``live_tasks()``, ``clock``, ``probes`` and the
-    global-lock timeline fields — with none of the event loop.
-    """
-
-    def __init__(self, num_cpus: int, smp: bool, cost: CostModel) -> None:
-        self.cost = cost
-        self.smp = smp
-        self.cpus = [CPU(i) for i in range(num_cpus)]
-        self.clock = _Clock()
-        #: Shared with the owning executor (one pipeline per host).
-        self.probes = ProbeSet()
-        self.lock_free_at = 0
-        self.lock_owner_cpu: Optional[int] = None
-        self._tasks: dict[int, Task] = {}
-
-    def live_tasks(self) -> Iterable[Task]:
-        return (t for t in self._tasks.values() if not t.exited)
 
 
 class SchedulerExecutor:
@@ -117,6 +70,12 @@ class SchedulerExecutor:
     :meth:`has_runnable` (not ``pick() is None``) as the wait gate,
     because a runnable handler that is still ``cpu.current`` elsewhere
     is invisible to other CPUs' ``schedule()`` by the kernel contract.
+
+    Probes attach to :attr:`machine` (``executor.machine.attach``).  The
+    executor reports the simulated machine's phases: the decision, lock
+    and switch charges are the cost model's, and ``migrate`` is the
+    *imputed* cache refill of a migrated handler (the live server pays
+    them in wall time, not virtual cycles).
     """
 
     def __init__(
@@ -128,9 +87,6 @@ class SchedulerExecutor:
         prof: Optional[object] = None,
         factory: Optional[Callable[[], Scheduler]] = None,
     ) -> None:
-        if num_cpus < 1:
-            raise ValueError("executor needs at least one virtual CPU")
-        self.scheduler = scheduler
         #: How :meth:`rebuild` replaces a crashed policy instance.  The
         #: default assumes a no-argument scheduler class, which every
         #: registered policy satisfies.
@@ -141,25 +97,15 @@ class SchedulerExecutor:
         #: a supervised restart loses no accounting.
         self._retired_stats: list[SchedStats] = []
         self.rebuilds = 0
+        #: Why the first :data:`MAX_RESTART_CAUSES` rebuilds happened.
+        self.restart_causes: list[dict[str, str]] = []
         self._crash_next = False
-        self.machine = _ExecutorMachine(
-            num_cpus, smp, cost if cost is not None else CostModel()
-        )
-        #: The probe pipeline (shared with the duck-typed machine so the
-        #: scheduler layer's emissions land in the same stream).  The
-        #: executor reports the same phases as the simulated machine:
-        #: the schedule() phase split is exact (it is the decision's own
-        #: cost), while ``dispatch``/``migrate`` are the cost model's
-        #: *imputed* switch and cache-refill charges (the live server
-        #: pays them in wall time, not virtual cycles).
-        self.probes = self.machine.probes
+        self.machine = Machine(scheduler, num_cpus=num_cpus, smp=smp, cost=cost)
         if prof is not None:
-            self.attach(ProfilerProbe(prof))
-        self._detect_hooks(scheduler)
-        scheduler.bind(self.machine)  # type: ignore[arg-type]
+            self.machine.attach(ProfilerProbe(prof))
         self._cursor = 0
-        #: Wall-clock nanoseconds spent inside schedule(), one sample
-        #: per invocation (the live pick-latency metric).
+        #: Wall-clock nanoseconds spent in each pick (``schedule()`` plus
+        #: its bookkeeping), the live pick-latency metric.
         self.pick_ns: list[int] = []
         self._pick_ns_cap = 1 << 16
         self.picks = 0
@@ -193,112 +139,59 @@ class SchedulerExecutor:
             factory=info.factory,
         )
 
-    def _detect_hooks(self, scheduler: Scheduler) -> None:
-        """Detect overridden API-v2 hooks once per bound instance.
-
-        Mirrors the simulated Machine: a policy keeping the base
-        no-ops pays nothing on the register/deregister/charge paths.
-        """
-        sched_cls = type(scheduler)
-        self._hook_tick = sched_cls.on_tick is not Scheduler.on_tick
-        self._hook_fork = sched_cls.on_fork is not Scheduler.on_fork
-        self._hook_exit = sched_cls.on_exit is not Scheduler.on_exit
-
-    # -- observers -----------------------------------------------------------
-
-    def attach(self, probe: object) -> object:
-        """Attach a probe to the executor's pipeline (and return it)."""
-        self.probes.add(probe)
-        probe.on_attach(self)
-        probe.set_scheduler(self.scheduler.name)
-        return probe
-
-    def detach(self, probe: object) -> None:
-        """Remove a probe from the pipeline (idempotent)."""
-        self.probes.remove(probe)
-
     @property
-    def prof(self) -> Optional[object]:
-        """The first attached profiler sink, or None (compat read)."""
-        probe = self.probes.first(ProfilerProbe)
-        return probe.sink if probe is not None else None
+    def scheduler(self) -> Scheduler:
+        """The policy currently bound to the machine."""
+        return self.machine.scheduler
 
     # -- handler lifecycle ---------------------------------------------------
 
     def register(
         self,
         name: str,
-        priority: Optional[int] = None,
+        priority: int = DEFAULT_PRIORITY,
         policy: SchedPolicy = SchedPolicy.SCHED_OTHER,
         rt_priority: int = 0,
         user: object = None,
     ) -> Task:
         """Create the Task standing in for one handler; starts blocked."""
-        task = (
-            Task(name=name, policy=policy, rt_priority=rt_priority)
-            if priority is None
-            else Task(
-                name=name,
-                priority=priority,
-                policy=policy,
-                rt_priority=rt_priority,
-            )
+        task = Task(
+            name=name, priority=priority, policy=policy, rt_priority=rt_priority
         )
         # A fresh Task is born RUNNING; a fresh handler has no work.
         task.state = TaskState.INTERRUPTIBLE
         task.user = user
-        self.machine._tasks[task.pid] = task
-        if self._hook_fork:
-            self.scheduler.on_fork(task)
+        self.machine._add_task(task)
         return task
 
     def deregister(self, task: Task) -> None:
-        """Handler gone (connection closed): off the queue, off a CPU."""
+        """Handler gone (connection closed): off the queue, off a CPU.
+
+        The task also leaves the machine's table, so a long-running
+        server holds only its live handlers.
+        """
         if task.exited:
             return
-        for cpu in self.machine.cpus:
+        machine = self.machine
+        for cpu in machine.cpus:
             if cpu.current is task:
                 cpu.current = cpu.idle_task
                 cpu.idle_task.has_cpu = True
         task.has_cpu = False
-        self.scheduler.del_from_runqueue(task)
-        task.mark_exited()
-        self.machine._tasks.pop(task.pid, None)
-        if self._hook_exit:
-            self.scheduler.on_exit(task)
-
-    # -- wakeup (mirrors Machine.wake_up_process) -----------------------------
+        machine._retire(task)
+        del machine._tasks[task.pid]
 
     def ready(self, task: Task) -> bool:
         """Work arrived for ``task``; returns True if it was enqueued.
 
-        Dedup semantics are the kernel's: a task already runnable on the
-        queue is a spurious wake; a task still ``on_runqueue`` (it is
-        somebody's ``current``) just flips back to RUNNING.
+        The kernel's wakeup: a task already runnable on the queue is a
+        spurious wake; a task still ``on_runqueue`` (it is somebody's
+        ``current``) just flips back to RUNNING.
         """
-        if task.exited:
-            return False
-        if task.state is TaskState.RUNNING and task.on_runqueue():
-            return False
-        task.state = TaskState.RUNNING
-        if task.on_runqueue():
-            return False
-        task.wakeup_count += 1
-        insert = self.scheduler.add_to_runqueue(task)
-        probes = self.probes
-        if probes.wakeup:
-            ev = WakeupEvent(
-                self.machine.clock.now,
-                -1,
-                -1,
-                task,
-                self.machine.cost.wakeup_cost + insert,
-                0,
-            )
-            probes.emit_wakeup(ev)
-        return True
+        machine = self.machine
+        return machine._wake(task, machine.clock.now) is not None
 
-    # -- dispatch (mirrors Machine._dispatch bookkeeping) ---------------------
+    # -- dispatch ------------------------------------------------------------
 
     def pick(self) -> Optional[Task]:
         """Ask the policy for the next handler to serve.
@@ -306,10 +199,10 @@ class SchedulerExecutor:
         Tries each virtual CPU once, round-robin, and returns the first
         non-idle decision; ``None`` when every try came back idle.
         """
-        machine = self.machine
-        ncpu = len(machine.cpus)
+        cpus = self.machine.cpus
+        ncpu = len(cpus)
         for _ in range(ncpu):
-            cpu = machine.cpus[self._cursor]
+            cpu = cpus[self._cursor]
             self._cursor = (self._cursor + 1) % ncpu
             task = self._pick_on(cpu)
             if task is not None:
@@ -323,106 +216,46 @@ class SchedulerExecutor:
             # supervisor is expected to rebuild() us.
             self._crash_next = False
             raise RuntimeError("injected executor crash (fault plan)")
-        scheduler = self.scheduler
-        stats = scheduler.stats
-        prev = cpu.current
+        machine = self.machine
         self.picks += 1
         t0 = time.perf_counter_ns()
-        decision = scheduler.schedule(prev, cpu)
+        end = machine._pick(cpu, machine.clock.now)
         elapsed = time.perf_counter_ns() - t0
         if len(self.pick_ns) < self._pick_ns_cap:
             self.pick_ns.append(elapsed)
-        machine = self.machine
-        picked_at = machine.clock.now
-        machine.clock.now += max(1, decision.cost)
-        next_task = decision.next_task
-        probes = self.probes
-        if probes.sched:
-            target = next_task if next_task is not None else cpu.idle_task
-            switch = 0
-            if next_task is not None and next_task is not prev:
-                same_mm = next_task.mm is None or next_task.mm is prev.mm
-                switch = machine.cost.switch_cost(same_mm)
-            migrated_from = None
-            if (
-                next_task is not None
-                and next_task.processor != cpu.cpu_id
-                and next_task.processor != -1
-            ):
-                migrated_from = next_task.processor
-            # A live pick is instantaneous in virtual time: every charge
-            # lands at picked_at (start == dec_end == end).
-            ev = SchedEvent(
-                picked_at,
-                picked_at,
-                picked_at,
-                picked_at,
-                cpu.cpu_id,
-                prev,
-                next_task,
-                target,
-                decision.cost,
-                decision.eval_cycles,
-                decision.recalc_cycles,
-                decision.examined,
-                switch,
-                migrated_from,
-            )
-            probes.emit_sched(ev)
-
-        prev.has_cpu = False
-        if next_task is None:
-            stats.idle_schedules += 1
+        machine.clock.advance_to(end)
+        task = cpu.current
+        if task is cpu.idle_task:
             self.idle_picks += 1
-            cpu.current = cpu.idle_task
-            cpu.idle_task.has_cpu = True
             return None
-        if next_task is not prev:
-            stats.switches += 1
-        if next_task.processor != cpu.cpu_id:
-            stats.picks_without_affinity += 1
-            if next_task.processor != -1:
-                stats.migrations += 1
-                next_task.migration_count += 1
-                next_task.cache_cold = True
-                if probes.dispatch:
-                    dev = DispatchEvent(
-                        machine.clock.now,
-                        cpu.cpu_id,
-                        next_task,
-                        machine.cost.cache_refill,
-                    )
-                    probes.emit_dispatch(dev)
-        next_task.has_cpu = True
-        next_task.processor = cpu.cpu_id
-        next_task.dispatch_count += 1
-        cpu.current = next_task
-        cpu.dispatches += 1
-        return next_task
+        if task.cache_cold:
+            # A migrated handler refills its cache as it starts, which
+            # the simulator charges on its first Run.
+            task.cache_cold = False
+            probes = machine.probes
+            if probes.dispatch:
+                probes.emit_dispatch(
+                    DispatchEvent(end, cpu.cpu_id, task, machine.cost.cache_refill)
+                )
+        return task
 
     # -- slice accounting ------------------------------------------------------
 
     def charge_slice(self, task: Task) -> None:
-        """One dispatch slice consumed: the tick-handler's quantum math.
+        """One dispatch slice consumed: the tick handler's quantum math.
 
-        SCHED_FIFO runs untimed; everyone else burns one counter tick,
-        and hitting zero is recorded as a quantum-expiry preemption —
-        the same event the simulator's tick path counts.
+        The slice that takes the counter to zero is recorded as a
+        quantum-expiry preemption, the event the simulator's tick path
+        counts.
         """
-        if task.policy is SchedPolicy.SCHED_FIFO:
-            return
-        task.ticks_consumed += 1
-        if task.counter > 0:
-            task.counter -= 1
-            if task.counter == 0:
-                self.scheduler.stats.preemptions += 1
-                if self.probes.sched:
-                    ev = PreemptEvent(
-                        self.machine.clock.now, task.processor, task, 0
-                    )
-                    self.probes.emit_sched(ev)
-        if self._hook_tick:
-            self.scheduler.on_tick(task, task.processor)
+        machine = self.machine
+        had_quantum = task.counter > 0
+        if machine._charge_tick(task, task.processor) and had_quantum:
+            machine.scheduler.stats.preemptions += 1
+            if machine.probes.sched:
+                machine.probes.emit_sched(
+                    PreemptEvent(machine.clock.now, task.processor, task, 0)
+                )
 
     def release(self, task: Task, blocked: bool) -> None:
         """Return a served handler to the policy's jurisdiction.
@@ -444,6 +277,22 @@ class SchedulerExecutor:
         """Arm a one-shot crash: the next ``pick()`` raises."""
         self._crash_next = True
 
+    def record_restart(self, exc: BaseException) -> None:
+        """Note why a supervisor is about to rebuild this executor.
+
+        Keeps the exception type and the innermost frames of its
+        traceback for the first :data:`MAX_RESTART_CAUSES` restarts, so
+        that a restart nobody injected can be told from one a fault plan
+        asked for.
+        """
+        if len(self.restart_causes) < MAX_RESTART_CAUSES:
+            lines = traceback.format_exception(
+                type(exc), exc, exc.__traceback__, limit=-3
+            )
+            self.restart_causes.append(
+                {"type": type(exc).__name__, "traceback": "".join(lines)}
+            )
+
     def rebuild(self) -> None:
         """Replace a crashed scheduler instance, preserving every handler.
 
@@ -463,13 +312,10 @@ class SchedulerExecutor:
             task.has_cpu = False
             task.run_list.next = None
             task.run_list.prev = None
-        self.scheduler = self._factory()
-        self._detect_hooks(self.scheduler)
-        self.scheduler.bind(machine)  # type: ignore[arg-type]
-        self.probes.set_scheduler(self.scheduler.name)
+        machine._bind(self._factory())
         for task in machine._tasks.values():
-            if not task.exited and task.state is TaskState.RUNNING:
-                self.scheduler.add_to_runqueue(task)
+            if task.state is TaskState.RUNNING:
+                machine.scheduler.add_to_runqueue(task)
         self.rebuilds += 1
 
     def merged_stats(self) -> SchedStats:
@@ -484,20 +330,11 @@ class SchedulerExecutor:
     def has_runnable(self) -> bool:
         """True while any registered handler is runnable (the wait gate)."""
         return any(
-            t.state is TaskState.RUNNING
-            for t in self.machine._tasks.values()
-            if not t.exited
-        )
-
-    def runnable_count(self) -> int:
-        return sum(
-            1
-            for t in self.machine._tasks.values()
-            if not t.exited and t.state is TaskState.RUNNING
+            t.state is TaskState.RUNNING for t in self.machine._tasks.values()
         )
 
     def live_count(self) -> int:
-        return sum(1 for _ in self.machine.live_tasks())
+        return self.machine.live_count()
 
     def __repr__(self) -> str:
         return (
@@ -505,3 +342,39 @@ class SchedulerExecutor:
             f"cpus={len(self.machine.cpus)} live={self.live_count()} "
             f"picks={self.picks}>"
         )
+
+
+async def supervise(
+    executor: SchedulerExecutor,
+    work: asyncio.Event,
+    serve: Callable[[Task], None],
+) -> None:
+    """The supervised dispatch loop of a live host.
+
+    Picks a handler whenever one is runnable and hands it to ``serve``,
+    sleeping on ``work`` (set by the host on every arrival) while
+    nothing is.  An exception out of a pick or a serve is survived, not
+    fatal: the executor records the cause and rebuilds with every
+    handler intact.  The restart is the metric, not the end.  Between
+    dispatches the loop yields to the event loop, so readers and
+    writers make progress — the "timer tick" of this userspace kernel.
+    """
+    while True:
+        if not executor.has_runnable():
+            work.clear()
+            # Re-check: a ready() may have raced the clear.
+            if not executor.has_runnable():
+                await work.wait()
+            continue
+        try:
+            task = executor.pick()
+            if task is not None:
+                serve(task)
+            # else: runnable exists but this rotation found nothing
+            # pickable (transient in multi-CPU configurations).
+        except asyncio.CancelledError:
+            raise
+        except Exception as exc:  # noqa: BLE001 — supervised: degrade, don't die
+            executor.record_restart(exc)
+            executor.rebuild()
+        await asyncio.sleep(0)

@@ -28,7 +28,7 @@ from typing import Any, Optional
 from ..kernel.task import Task
 from . import protocol
 from .config import ServeConfig
-from .executor import SchedulerExecutor, record_restart
+from .executor import SchedulerExecutor, supervise
 from .metrics import DepthTracker
 
 __all__ = ["ChatServer", "Session"]
@@ -104,10 +104,6 @@ class ChatServer:
         self.shed_retry_after = 0
         #: Requests that aged past ``config.request_deadline_ms`` queued.
         self.expired = 0
-        #: Scheduler-adapter crashes survived by rebuilding the executor.
-        self.executor_restarts = 0
-        #: Why the first few of them happened (see record_restart).
-        self.restart_causes: list[dict[str, str]] = []
         self.dropped_fanout = 0
         self.deliveries = 0
         self.protocol_errors = 0
@@ -140,7 +136,8 @@ class ChatServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._dispatcher = asyncio.create_task(
-            self._dispatch_loop(), name="serve-dispatch"
+            supervise(self.executor, self._work, self._serve),
+            name="serve-dispatch",
         )
 
     async def stop(self) -> None:
@@ -300,44 +297,11 @@ class ChatServer:
             except Exception:
                 pass
 
-    # -- the scheduler-driven dispatch loop ---------------------------------
-
-    async def _dispatch_loop(self) -> None:
-        executor = self.executor
-        while True:
-            if not executor.has_runnable():
-                self._work.clear()
-                # Re-check: a ready() may have raced the clear.
-                if not executor.has_runnable():
-                    await self._work.wait()
-                continue
-            self.depth.observe(self.pending)
-            try:
-                task = executor.pick()
-                if task is None:
-                    # Runnable exists but this rotation found nothing
-                    # pickable (transient in multi-CPU configurations).
-                    await asyncio.sleep(0)
-                    continue
-                self._serve(task)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # noqa: BLE001 — supervised: degrade, don't die
-                # The scheduler adapter crashed out of a pick or a
-                # serve.  Rebuild it with every session intact and keep
-                # dispatching; the restart is the metric, not the end.
-                self.executor_restarts += 1
-                record_restart(self.restart_causes, exc)
-                executor.rebuild()
-                await asyncio.sleep(0)
-                continue
-            # Yield to the event loop so readers/writers make progress
-            # between dispatches — the "timer tick" of this userspace
-            # kernel.
-            await asyncio.sleep(0)
+    # -- the scheduler-driven dispatch ---------------------------------------
 
     def _serve(self, task: Task) -> None:
         """Serve up to ``config.batch`` queued requests of one session."""
+        self.depth.observe(self.pending)
         session: Session = task.user
         budget = self.config.batch
         deadline_s = self.config.request_deadline_ms / 1e3
@@ -382,7 +346,7 @@ class ChatServer:
         """
         from ..obs.metrics import MetricsProbe  # local import: layering
 
-        probe = self.executor.probes.first(MetricsProbe)
+        probe = self.executor.machine.probes.first(MetricsProbe)
         return {
             "op": protocol.OP_METRICS,
             "counters": self.counters(),
@@ -396,8 +360,8 @@ class ChatServer:
             "shed": self.shed,
             "shed_retry_after": self.shed_retry_after,
             "expired": self.expired,
-            "executor_restarts": self.executor_restarts,
-            "restart_causes": list(self.restart_causes),
+            "executor_restarts": self.executor.rebuilds,
+            "restart_causes": list(self.executor.restart_causes),
             "dropped_fanout": self.dropped_fanout,
             "protocol_errors": self.protocol_errors,
             "sessions_total": self.sessions_total,

@@ -125,7 +125,7 @@ async def _run(
         factory=scheduler_factory,
     )
     if metrics is not None:
-        executor.attach(metrics)
+        executor.machine.attach(metrics)
     server = ChatServer(executor, config)
     driver = None
     if config.fault_plan:

@@ -132,16 +132,3 @@ def test_scenario_bit_identical_to_plain_invocation(scheduler_name, spec_name):
     via_plain = execute_spec(plain_spec)
     assert via_scenario.canonical() == via_plain.canonical()
 
-
-def test_legacy_attach_names_still_work():
-    """attach_tracer/attach_profiler/attach_faults are thin wrappers over
-    attach() and return what callers historically consumed."""
-    scheduler = SCHEDULERS["reg"]()
-    machine = make_machine(scheduler, MACHINE_SPECS["2P"])
-    tracer = machine.attach_tracer()
-    prof = machine.attach_profiler()
-    injector = machine.attach_faults(FaultInjector(FaultPlan()))
-    assert machine.tracer is tracer
-    assert machine.prof is prof
-    assert machine.faults is injector
-    assert len(machine.probes) == 3

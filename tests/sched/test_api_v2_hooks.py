@@ -102,9 +102,9 @@ class TestExecutorHooks:
         executor = SchedulerExecutor(
             VanillaScheduler(), factory=RecordingScheduler
         )
-        assert not executor._hook_tick
+        assert not executor.machine._hook_tick
         executor.rebuild()
-        assert executor._hook_tick and executor._hook_fork
+        assert executor.machine._hook_tick and executor.machine._hook_fork
 
 
 class TestProbeHost:
@@ -112,7 +112,7 @@ class TestProbeHost:
         machine = Machine(VanillaScheduler(), num_cpus=1, smp=False)
         assert isinstance(machine, ProbeHost)
 
-    def test_executor_shim_satisfies_the_protocol(self):
+    def test_executor_machine_satisfies_the_protocol(self):
         executor = SchedulerExecutor(VanillaScheduler())
         assert isinstance(executor.machine, ProbeHost)
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import asdict
+
 import pytest
 
 from repro.harness import SCHEDULERS
+from repro.kernel.mm import MMStruct
 from repro.kernel.task import SchedPolicy, TaskState
+from repro.prof.profiler import Profiler, conservation_errors
 from repro.serve import SchedulerExecutor
 
 ALL_SCHEDULERS = sorted(SCHEDULERS)
@@ -172,3 +177,63 @@ class TestQuantumAccounting:
             ex.charge_slice(picked)
             ex.release(picked, blocked=False)
         assert task.dispatch_count == 40
+
+
+class TestMachineBookkeeping:
+    """The executor's stats are the Machine's: it runs on one."""
+
+    def test_stats_match_the_machine(self):
+        ex = make()
+        stats = ex.scheduler.stats
+        task = ex.register("h0")
+        ex.ready(task)
+        assert ex.pick() is task
+        ex.charge_slice(task)
+        ex.release(task, blocked=True)
+        assert ex.pick() is None
+        # idle -> h0 and h0 -> idle are both context switches, and each
+        # schedule() is a dispatch of CPU 0, as in Machine._dispatch.
+        assert stats.switches == 2
+        assert stats.idle_schedules == 1
+        assert ex.machine.cpus[0].dispatches == 2
+
+        # Two handlers sharing an address space: the second pick after
+        # the first one blocks is a same-mm switch.
+        mm = MMStruct("shared")
+        a = ex.register("a")
+        b = ex.register("b")
+        a.mm = mm.grab()
+        b.mm = mm.grab()
+        ex.ready(a)
+        assert ex.pick() is a
+        ex.release(a, blocked=True)
+        ex.ready(b)
+        assert ex.pick() is b
+        assert stats.picks_same_mm == 1
+
+        # A SCHED_FIFO slice leaves the counter alone but is a tick used.
+        rt = ex.register("rt", policy=SchedPolicy.SCHED_FIFO, rt_priority=10)
+        counter = rt.counter
+        ex.charge_slice(rt)
+        assert rt.counter == counter
+        assert rt.ticks_consumed == 1
+
+    def test_smp_profile_conserves_cycles_and_imputes_refills(self):
+        """A 2P live run under the global lock: lock spin shows up as
+        lock_wait, and each migration as one imputed cache refill."""
+        prof = Profiler()
+        ex = SchedulerExecutor(SCHEDULERS["elsc"](), num_cpus=2, smp=True, prof=prof)
+        tasks = [ex.register(f"h{i}") for i in range(4)]
+        rng = random.Random(1)
+        for _ in range(400):
+            if rng.random() < 0.5:
+                ex.ready(rng.choice(tasks))
+            elif (task := ex.pick()) is not None:
+                ex.charge_slice(task)
+                ex.release(task, blocked=rng.random() < 0.5)
+        ex.machine.probes.flush()
+        stats = ex.merged_stats()
+        assert stats.migrations > 0 and stats.lock_spin_cycles > 0
+        assert conservation_errors(prof, asdict(stats)) == []
+        refill = ex.machine.cost.cache_refill
+        assert prof.phase_total("migrate") == stats.migrations * refill

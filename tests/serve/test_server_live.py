@@ -134,7 +134,7 @@ def test_metrics_frame_returns_live_snapshot():
     async def scenario(attach_probe: bool):
         executor = SchedulerExecutor(SCHEDULERS["reg"]())
         if attach_probe:
-            executor.attach(MetricsProbe())
+            executor.machine.attach(MetricsProbe())
         server = ChatServer(executor, config)
         await server.start()
         reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
